@@ -42,9 +42,9 @@ from ..storage import (
     ENVELOPE_VERSION,
     Quarantine,
     StorageReport,
+    canonical_digest,
     is_readonly_error,
     publish_bytes,
-    sha256_hex,
 )
 
 #: Bump when rule logic, the facts schema, or the record layout changes.
@@ -66,11 +66,6 @@ def entry_key(digest: str, rule_ids: Sequence[str]) -> str:
     """Cache key for one file's analysis under one rule set."""
     blob = f"v{CACHE_VERSION}::{digest}::{','.join(rule_ids)}"
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _record_digest(record: Dict[str, Any]) -> str:
-    canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return sha256_hex(canonical.encode("utf-8"))
 
 
 class AnalysisCache:
@@ -110,7 +105,7 @@ class AnalysisCache:
                 or envelope.get("schema") != ENVELOPE_SCHEMA
             ):
                 raise ValueError("missing or stale embedded envelope")
-            if envelope.get("sha256") != _record_digest(record):
+            if envelope.get("sha256") != canonical_digest(record):
                 raise ValueError("record checksum mismatch")
         except (KeyError, ValueError) as exc:
             # Garbled, torn, or pre-envelope entry: quarantine it (a
@@ -130,7 +125,7 @@ class AnalysisCache:
                 "envelope": ENVELOPE_VERSION,
                 "kind": ENVELOPE_KIND,
                 "schema": ENVELOPE_SCHEMA,
-                "sha256": _record_digest(record),
+                "sha256": canonical_digest(record),
             },
             "record": record,
         }

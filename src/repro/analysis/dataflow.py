@@ -132,7 +132,7 @@ _SEED_KWARGS = frozenset({"seed", "base_seed", "master_seed", "rng_seed"})
 _SEED_FNS = frozenset({"derive_seed"})
 
 #: Bare function names whose every argument is a content-address sink.
-_KEY_FNS = frozenset({"cache_key"})
+_KEY_FNS = frozenset({"cache_key", "canonical_digest"})
 
 #: A taint value: (kinds, unresolved call targets, own parameters).
 TaintVal = Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str]]

@@ -12,6 +12,7 @@ schema-versioned, content-addressed leaderboard artifact
 """
 
 from .driver import (
+    ARENA_JOBS,
     ARENA_SCHEMA_VERSION,
     ArenaConfig,
     ArenaJob,
@@ -20,8 +21,6 @@ from .driver import (
     arena_job_key,
     arena_jobs,
     default_arena_cache_dir,
-    default_arena_journal_path,
-    make_arena_journal,
     run_arena,
     run_arena_job,
 )
@@ -47,6 +46,7 @@ from .scoring import (
 from .trace import ArenaTrace, TraceCollector
 
 __all__ = [
+    "ARENA_JOBS",
     "ARENA_SCHEMA_VERSION",
     "AdditiveObjective",
     "ArenaConfig",
@@ -67,9 +67,7 @@ __all__ = [
     "build_leaderboard",
     "build_policy",
     "default_arena_cache_dir",
-    "default_arena_journal_path",
     "get_policy",
-    "make_arena_journal",
     "metrics_from",
     "perceptual_quality",
     "policy_names",

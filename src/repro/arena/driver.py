@@ -18,11 +18,9 @@ bit-for-bit equal to the §6 experiment it generalizes.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.session import DEVICE_FACTORIES, StreamingSession
 from ..experiments.checkpoint import SweepJournal
@@ -34,6 +32,7 @@ from ..experiments.parallel import (
     run_jobs,
 )
 from ..faults import active_plan
+from ..storage import JobFamily, canonical_digest
 from ..video.encoding import GENRES, VideoAsset
 from .policies import build_policy, get_policy, policy_names
 from .scoring import QoEScore, SessionMetrics, metrics_from, score_all
@@ -43,10 +42,6 @@ from .trace import ArenaTrace, TraceCollector
 #: a way that alters arena results: cached records and journals from
 #: older schemas then stop matching.
 ARENA_SCHEMA_VERSION = 1
-
-#: Journal family tag for arena sweeps (a session-sweep journal must
-#: never replay into an arena run, and vice versa).
-ARENA_JOURNAL_MAGIC = "repro-arena"
 
 #: §6 frame-rate ladder of the travel asset every arena cell streams.
 ARENA_FRAME_RATES = (24, 48, 60)
@@ -151,8 +146,7 @@ def arena_job_key(job: ArenaJob) -> str:
         "rep": job.rep,
         "seed": job.seed,
     }
-    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(material)
 
 
 def arena_jobs(config: ArenaConfig) -> List[ArenaJob]:
@@ -205,6 +199,10 @@ class ArenaRecord:
             if verdict.objective == objective:
                 return verdict.value
         raise KeyError(objective)
+
+
+#: Arena cells: what ``repro arena`` journals and caches.
+ARENA_JOBS = JobFamily("arena", ARENA_SCHEMA_VERSION, ArenaRecord)
 
 
 def run_arena_job(job: ArenaJob) -> ArenaRecord:
@@ -261,40 +259,9 @@ class ArenaResult:
     report: FabricReport = field(default_factory=FabricReport)
 
 
-def arena_digest(jobs: Sequence[ArenaJob]) -> str:
-    """Stable identity of an arena run: hash of its sorted job keys."""
-    keys = sorted(arena_job_key(job) for job in jobs)
-    blob = "\n".join([str(len(keys)), *keys])
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def default_arena_journal_path(
-    jobs: Sequence[ArenaJob], root: Optional[Path] = None
-) -> Path:
-    """``<cache root>/journals/arena-<run digest>.journal``."""
-    base = root if root is not None else default_cache_dir()
-    return base / "journals" / f"arena-{arena_digest(jobs)[:16]}.journal"
-
-
 def default_arena_cache_dir() -> Path:
     """Arena records live beside (not among) the session cache entries."""
     return default_cache_dir() / "arena"
-
-
-def make_arena_journal(
-    jobs: Sequence[ArenaJob],
-    path: Optional[Path] = None,
-    resume: bool = True,
-) -> SweepJournal:
-    """An arena-tagged checkpoint journal (foreign journals are
-    rejected wholesale by the magic/schema/record-type triple)."""
-    return SweepJournal(
-        path if path is not None else default_arena_journal_path(jobs),
-        resume=resume,
-        magic=ARENA_JOURNAL_MAGIC,
-        schema=ARENA_SCHEMA_VERSION,
-        result_type=ArenaRecord,
-    )
 
 
 def run_arena(
@@ -307,9 +274,9 @@ def run_arena(
 ) -> ArenaResult:
     """Run the full arena grid and build the leaderboard.
 
-    Resolution order per job matches the session fabric: journal hit,
-    cache hit, computation (fanned out across ``jobs`` workers).  On
-    Ctrl-C the fabric drains, checkpoints, and raises
+    Each cell resolves on :func:`~repro.experiments.parallel.run_jobs`:
+    journal hit, cache hit, computation (fanned out across ``jobs``
+    workers).  On Ctrl-C the fabric drains, checkpoints, and raises
     :class:`~repro.experiments.parallel.SweepInterrupted`; resuming
     with the same config and journal replays completed cells and
     produces a byte-identical artifact.
@@ -318,46 +285,21 @@ def run_arena(
 
     stats = report if report is not None else FabricReport()
     grid = arena_jobs(config)
-    keys = [arena_job_key(job) for job in grid]
-    records: List[Optional[ArenaRecord]] = [None] * len(grid)
-
-    pending: List[int] = []
-    for index, key in enumerate(keys):
-        if cache is not None:
-            # Cache hits are not re-journaled: a resume run re-reads
-            # them from the cache itself (same key, same bytes), so the
-            # journal only ever carries what was actually computed.
-            hit = cache.get(key)
-            if hit is not None:
-                records[index] = hit
-                stats.cache_hits += 1
-                continue
-        pending.append(index)
-
-    if pending:
-        computed = run_jobs(
-            [grid[i] for i in pending],
-            run_arena_job,
-            keys=[keys[i] for i in pending],
-            seeds=[grid[i].seed for i in pending],
-            jobs=jobs,
-            journal=journal,
-            policy=policy,
-            report=stats,
-        )
-        for index, record in zip(pending, computed):
-            records[index] = record
-            if cache is not None:
-                cache.put(keys[index], record)
-    elif journal is not None:
-        journal.close()
-
-    complete = [record for record in records if record is not None]
-    assert len(complete) == len(grid)
-    leaderboard = build_leaderboard(config, complete)
+    records: List[ArenaRecord] = run_jobs(
+        grid,
+        run_arena_job,
+        keys=[arena_job_key(job) for job in grid],
+        seeds=[job.seed for job in grid],
+        jobs=jobs,
+        cache=cache,
+        journal=journal,
+        policy=policy,
+        report=stats,
+    )
+    leaderboard = build_leaderboard(config, records)
     return ArenaResult(
         config=config,
-        records=complete,
+        records=records,
         leaderboard=leaderboard,
         report=stats,
     )

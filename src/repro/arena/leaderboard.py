@@ -13,12 +13,16 @@ table for humans.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..storage import StorageReport, publish_bytes, write_sidecar
+from ..storage import (
+    StorageReport,
+    canonical_digest,
+    publish_bytes,
+    write_sidecar,
+)
 from .driver import ARENA_SCHEMA_VERSION, ArenaConfig, ArenaRecord
 from .policies import get_policy
 from .scoring import OBJECTIVES
@@ -121,9 +125,9 @@ def build_leaderboard(
 
 def _payload_digest(payload: Dict[str, object]) -> str:
     """SHA-256 over the canonical payload, ``digest`` field excluded."""
-    material = {k: v for k, v in payload.items() if k != "digest"}
-    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(
+        {k: v for k, v in payload.items() if k != "digest"}
+    )
 
 
 def artifact_bytes(leaderboard: Dict[str, object]) -> bytes:

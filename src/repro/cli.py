@@ -39,20 +39,47 @@ from .core.session import DEVICE_FACTORIES
 from .experiments import study_experiments
 from .experiments.checkpoint import SweepJournal, default_journal_path
 from .experiments.parallel import (
+    SWEEP_JOBS,
     FabricReport,
     SessionSpec,
     SweepInterrupted,
+    cache_key,
     resolve_jobs,
     run_sessions,
 )
 from .experiments.runner import cell_specs, run_cells
 from .experiments.trace_experiments import profiled_run
 from .sched.states import ThreadState
+from .storage import JobFamily
 from .video.encoding import RESOLUTION_ORDER, SUPPORTED_FRAME_RATES
 
-#: Journal family tag for ``--record-trace`` runs: same payloads as a
-#: session sweep but keyed by trace address, so the two never mix.
-TRACE_RECORD_JOURNAL_MAGIC = "repro-trace-record"
+
+def _journal(
+    args: argparse.Namespace, family: JobFamily, keys
+) -> Optional[SweepJournal]:
+    """The checkpoint journal a fabric command asked for: ``--journal``,
+    else the family's default path under the cache (``None`` with
+    ``--no-journal``)."""
+    if args.no_journal:
+        return None
+    path = args.journal or default_journal_path(family, keys)
+    return SweepJournal(path, resume=args.resume, family=family)
+
+
+def _interrupted(command: str, exc: SweepInterrupted) -> int:
+    """Report a drained Ctrl-C the same way for every fabric command."""
+    print(
+        f"{command} interrupted: {exc.completed}/{exc.total} jobs "
+        "checkpointed",
+        file=sys.stderr,
+    )
+    if exc.journal_path is not None:
+        print(
+            "resume with the same command plus --resume "
+            f"(journal: {exc.journal_path})",
+            file=sys.stderr,
+        )
+    return 130
 
 
 def _session_payload(result) -> Dict[str, Any]:
@@ -153,8 +180,9 @@ def _sweep_with_traces(
     missing = [i for i, result in enumerate(results) if result is None]
     if missing:
         # Traces already recorded but results no longer cached:
-        # re-run those sessions untraced for the sweep report.
-        filled = run_sessions(
+        # re-run those sessions untraced for the sweep report (same
+        # spurious cache-state taint as at the call site in cmd_sweep).
+        filled = run_sessions(  # repro: noqa[REP122]
             [flat[i] for i in missing],
             jobs=resolve_jobs(args.jobs),
             cache=False if args.no_cache else None,
@@ -192,23 +220,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     per_cell = [cell_specs(**cell) for cell in cell_kwargs]
     flat = [spec for specs in per_cell for spec in specs]
-    journal: Optional[SweepJournal] = None
-    if not args.no_journal:
-        if args.journal:
-            journal_path = args.journal
-        else:
-            journal_path = str(default_journal_path(flat))
-            if args.record_trace:
-                # Same spec digest, different job family (trace keys):
-                # keep the two journal files apart.
-                journal_path += ".trace"
-        if args.record_trace:
-            journal = SweepJournal(
-                journal_path, resume=args.resume,
-                magic=TRACE_RECORD_JOURNAL_MAGIC,
-            )
-        else:
-            journal = SweepJournal(journal_path, resume=args.resume)
+    keys = [cache_key(spec) for spec in flat]
+    if args.record_trace:
+        from .trace.replay import TRACE_RECORD_JOBS
+        from .trace.store import trace_key
+
+        journal = _journal(
+            args, TRACE_RECORD_JOBS, [trace_key(key) for key in keys]
+        )
+    else:
+        journal = _journal(args, SWEEP_JOBS, keys)
     report = FabricReport()
     try:
         if args.record_trace:
@@ -226,18 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 report=report,
             )
     except SweepInterrupted as exc:
-        print(
-            f"sweep interrupted: {exc.completed}/{exc.total} jobs "
-            "checkpointed",
-            file=sys.stderr,
-        )
-        if exc.journal_path is not None:
-            print(
-                "resume with the same command plus --resume "
-                f"(journal: {exc.journal_path})",
-                file=sys.stderr,
-            )
-        return 130
+        return _interrupted("sweep", exc)
     rows = []
     for (device, resolution, fps, pressure), cell in zip(grid, cells):
         stats = cell.stats
@@ -295,9 +305,10 @@ def _cmd_study_fleet(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .study.fleet import (
+        FLEET_JOBS,
         FleetConfig,
-        default_fleet_journal_path,
-        fleet_journal,
+        cohort_job_key,
+        cohort_jobs,
         run_fleet,
     )
 
@@ -307,33 +318,23 @@ def _cmd_study_fleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         cohort_size=args.cohort_size,
     )
-    journal = None
-    if not args.no_journal:
-        path = args.journal or default_fleet_journal_path(config)
-        journal = fleet_journal(path, resume=args.resume)
+    export_dir = Path(args.export) if args.export else None
+    journal = _journal(args, FLEET_JOBS, [
+        cohort_job_key(job)
+        for job in cohort_jobs(config, export_dir, args.keep_logs)
+    ])
     report = FabricReport()
     try:
         result = run_fleet(
             config,
             jobs=resolve_jobs(args.jobs),
             journal=journal,
-            export_dir=Path(args.export) if args.export else None,
+            export_dir=export_dir,
             keep_logs=args.keep_logs,
             report=report,
         )
     except SweepInterrupted as exc:
-        print(
-            f"study interrupted: {exc.completed}/{exc.total} cohorts "
-            "checkpointed",
-            file=sys.stderr,
-        )
-        if exc.journal_path is not None:
-            print(
-                "resume with the same command plus --resume "
-                f"(journal: {exc.journal_path})",
-                file=sys.stderr,
-            )
-        return 130
+        return _interrupted("study", exc)
     fleet = result.summary
     summary = fleet.table1()
     transitions = fleet.transitions()
@@ -365,7 +366,7 @@ def _cmd_study_fleet(args: argparse.Namespace) -> int:
 
 def cmd_trace_record(args: argparse.Namespace) -> int:
     from .experiments.parallel import repetition_seeds
-    from .trace.replay import record_traces, spec_trace_key
+    from .trace.replay import TRACE_RECORD_JOBS, record_traces, spec_trace_key
     from .trace.store import TraceStore, default_trace_dir
 
     specs = [
@@ -383,11 +384,10 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
         for seed in repetition_seeds(args.seed, args.reps)
     ]
     store = TraceStore(args.store or default_trace_dir())
-    journal: Optional[SweepJournal] = None
+    journal = None
     if args.journal:
         journal = SweepJournal(
-            args.journal, resume=args.resume,
-            magic=TRACE_RECORD_JOURNAL_MAGIC,
+            args.journal, resume=args.resume, family=TRACE_RECORD_JOBS
         )
     report = FabricReport()
     try:
@@ -399,12 +399,7 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
             cache=False if args.no_cache else None,
         )
     except SweepInterrupted as exc:
-        print(
-            f"recording interrupted: {exc.completed}/{exc.total} jobs "
-            "checkpointed; re-run with --resume and the same --journal",
-            file=sys.stderr,
-        )
-        return 130
+        return _interrupted("recording", exc)
     payload = {
         "store": str(store.root),
         "recorded": report.computed,
@@ -421,26 +416,24 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
-    from .trace.replay import (
-        ANALYTICS_JOURNAL_MAGIC,
-        TraceAnalytics,
-        analyze_store,
-    )
+    from .trace.replay import TRACE_ANALYTICS_JOBS, analyze_store
     from .trace.store import TraceStore, default_trace_dir
 
     store = TraceStore(args.store or default_trace_dir())
     keys = args.keys.split(",") if args.keys else None
-    journal: Optional[SweepJournal] = None
+    journal = None
     if args.journal:
         journal = SweepJournal(
-            args.journal, resume=args.resume,
-            magic=ANALYTICS_JOURNAL_MAGIC, result_type=TraceAnalytics,
+            args.journal, resume=args.resume, family=TRACE_ANALYTICS_JOBS
         )
     report = FabricReport()
-    analytics = analyze_store(
-        store, keys=keys, jobs=resolve_jobs(args.jobs),
-        journal=journal, report=report,
-    )
+    try:
+        analytics = analyze_store(
+            store, keys=keys, jobs=resolve_jobs(args.jobs),
+            journal=journal, report=report,
+        )
+    except SweepInterrupted as exc:
+        return _interrupted("analysis", exc)
     if args.json:
         print(json.dumps(
             {key: a.canonical() for key, a in analytics.items()}, indent=2
@@ -617,15 +610,15 @@ def cmd_arena(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .arena import (
+        ARENA_JOBS,
         ArenaConfig,
+        arena_job_key,
         arena_jobs,
         default_arena_cache_dir,
-        make_arena_journal,
         render_table,
         run_arena,
         write_artifact,
     )
-    from .arena.driver import ArenaRecord
     from .experiments.parallel import CACHE_DISABLE_ENV, ResultCache
     import os
 
@@ -652,11 +645,8 @@ def cmd_arena(args: argparse.Namespace) -> int:
         return 2
     cache = None
     if not args.no_cache and not os.environ.get(CACHE_DISABLE_ENV):
-        cache = ResultCache(default_arena_cache_dir(), result_type=ArenaRecord)
-    journal = None
-    if not args.no_journal:
-        path = Path(args.journal) if args.journal else None
-        journal = make_arena_journal(grid, path=path, resume=args.resume)
+        cache = ResultCache(default_arena_cache_dir(), ARENA_JOBS)
+    journal = _journal(args, ARENA_JOBS, [arena_job_key(job) for job in grid])
     report = FabricReport()
     try:
         result = run_arena(
@@ -667,18 +657,7 @@ def cmd_arena(args: argparse.Namespace) -> int:
             report=report,
         )
     except SweepInterrupted as exc:
-        print(
-            f"arena interrupted: {exc.completed}/{exc.total} sessions "
-            "checkpointed",
-            file=sys.stderr,
-        )
-        if exc.journal_path is not None:
-            print(
-                "resume with the same command plus --resume "
-                f"(journal: {exc.journal_path})",
-                file=sys.stderr,
-            )
-        return 130
+        return _interrupted("arena", exc)
     paths = None
     if args.out:
         paths = write_artifact(result.leaderboard, Path(args.out))
@@ -803,8 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "checkpoint journal")
     study_p.add_argument("--journal", default=None,
                          help="cohort checkpoint journal path (default: "
-                              "derived from the fleet config under the "
-                              "cache directory)")
+                              "derived from the cohort job digests under "
+                              "the cache directory)")
     study_p.add_argument("--no-journal", action="store_true",
                          help="disable cohort checkpointing")
     study_p.add_argument("--export", default=None, metavar="DIR",
@@ -949,9 +928,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="store root to scrub (repeatable; default: "
                              "the result cache and trace store)")
     fsck_p.add_argument("--repair", action="store_true",
-                        help="prune orphaned tmp files and dangling "
-                             "sidecars, derive envelopes for legacy "
-                             "artifacts")
+                        help="prune crash debris: orphaned tmp files, "
+                             "artifacts without sidecars, dangling "
+                             "sidecars")
     fsck_p.add_argument("--json", action="store_true")
     fsck_p.set_defaults(func=cmd_fsck)
 

@@ -2,17 +2,19 @@
 
 Long §3/§4 sweeps are exactly the multi-hour batch jobs that must
 survive a SIGINT, SIGTERM, or killed host.  The journal makes every
-completed :class:`~repro.experiments.parallel.SessionSpec` durable the
-moment it finishes: :func:`~repro.experiments.parallel.run_sessions`
-appends one record per completed job, and a resumed sweep replays those
-records instead of recomputing — bit-identical to an uninterrupted run,
-because a record is keyed by the spec's content address and a spec
-fully determines its result.
+fabric job durable the moment it finishes or is found in the cache:
+:func:`~repro.experiments.parallel.run_jobs` appends one record per
+such job, and a resumed run replays those records instead of
+recomputing — bit-identical to an uninterrupted run, because a record
+is keyed by the job's content address and a job fully determines its
+result.
 
 Format (documented in ``docs/robustness.md``): a line-oriented JSON
-file.  The first line is a header::
+file.  The first line is a header naming the job family
+(:class:`~repro.storage.JobFamily`: ``repro-sweep``, ``repro-fleet``,
+``repro-arena``, ``repro-trace-record``, ``repro-trace-analytics``)::
 
-    {"journal": "repro-sweep", "version": 2, "schema": <SCHEMA_VERSION>}
+    {"journal": "repro-sweep", "version": 2, "schema": <family schema>}
 
 and every subsequent line is one completed job::
 
@@ -25,53 +27,44 @@ acknowledged work wholesale).  The per-record CRC-32 — computed over
 ``key + "\\x00" + result`` — is what makes truncated-tail detection
 exact: a torn line either fails to parse or fails its CRC, is counted
 in :attr:`SweepJournal.skipped`, and resume skips exactly that record
-rather than trusting whatever happens to parse.  Version-1 journals
-(no CRC field) are still readable; their records fall back to
-parse-validation.  A journal whose header names a different
-:data:`~repro.experiments.parallel.SCHEMA_VERSION` is stale (results
-would no longer be comparable) and is discarded wholesale.
+rather than trusting whatever happens to parse; a record without a
+CRC is skipped the same way.  A journal whose header names another
+family, version or schema is stale or foreign (its results would not
+be comparable) and is discarded wholesale.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import pickle
 from pathlib import Path
-from typing import IO, Any, Dict, Optional, Sequence
+from typing import IO, Any, Dict, Iterable, Optional
 
-from ..storage import fsync_handle, open_journal, record_crc
-from ..video.player import SessionResult
-from .parallel import SCHEMA_VERSION, SessionSpec, cache_key, default_cache_dir
+from ..storage import (
+    JobFamily,
+    canonical_digest,
+    fsync_handle,
+    open_journal,
+    record_crc,
+)
+from .parallel import SWEEP_JOBS, default_cache_dir
 
-JOURNAL_MAGIC = "repro-sweep"
 JOURNAL_VERSION = 2
-
-#: Header versions this reader accepts: v1 journals predate per-record
-#: CRCs but their records are otherwise identical.
-COMPATIBLE_JOURNAL_VERSIONS = frozenset({1, JOURNAL_VERSION})
-
-
-def sweep_digest(specs: Sequence[SessionSpec]) -> str:
-    """Stable identity of a sweep: hash of its sorted job digests.
-
-    Used to derive a default journal path, so re-running the same
-    command line finds its own journal and a different grid gets a
-    fresh one.  Non-cacheable specs (shared-instance ABR) contribute
-    nothing: they are never journaled.
-    """
-    keys = sorted(cache_key(spec) for spec in specs if spec.cacheable)
-    blob = "\n".join([str(len(keys)), *keys])
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def default_journal_path(
-    specs: Sequence[SessionSpec], root: Optional[Path] = None
+    family: JobFamily, keys: Iterable[str], root: Optional[Path] = None
 ) -> Path:
-    """``<cache root>/journals/<sweep digest>.journal``."""
+    """``<cache root>/journals/<family>-<run digest>.journal``.
+
+    The run digest hashes the sorted job keys, so re-running the same
+    command line finds its own journal and a different grid gets a
+    fresh one.
+    """
     base = root if root is not None else default_cache_dir()
-    return base / "journals" / f"{sweep_digest(specs)[:16]}.journal"
+    digest = canonical_digest(sorted(keys))[:16]
+    return base / "journals" / f"{family.name}-{digest}.journal"
 
 
 class SweepJournal:
@@ -88,19 +81,13 @@ class SweepJournal:
         path: Path | str,
         resume: bool = True,
         *,
-        magic: str = JOURNAL_MAGIC,
-        schema: int = SCHEMA_VERSION,
-        result_type: type = SessionResult,
+        family: JobFamily = SWEEP_JOBS,
     ) -> None:
         self.path = Path(path)
         self.resume = resume
-        #: Journal family tag, schema stamp, and the record payload
-        #: type accepted on load.  Session sweeps use the defaults;
-        #: other job families (e.g. fleet cohort shards) pass their own
-        #: so a stale or foreign journal is discarded, not replayed.
-        self.magic = magic
-        self.schema = schema
-        self.result_type = result_type
+        #: Header magic and schema stamp, and the record payload type
+        #: accepted on load: a stale or foreign journal is discarded.
+        self.family = family
         #: Records written by this process (not counting loaded ones).
         self.recorded = 0
         #: Corrupt or truncated lines skipped during :meth:`begin`.
@@ -125,9 +112,9 @@ class SweepJournal:
         else:
             self._fh = open_journal(self.path, fresh=True)
             header = {
-                "journal": self.magic,
+                "journal": self.family.magic,
                 "version": JOURNAL_VERSION,
-                "schema": self.schema,
+                "schema": self.family.schema,
             }
             self._fh.write(json.dumps(header, separators=(",", ":")) + "\n")
             # An OS crash after begin() must not be able to lose the
@@ -181,9 +168,9 @@ class SweepJournal:
             return entries, False
         if (
             not isinstance(header, dict)
-            or header.get("journal") != self.magic
-            or header.get("version") not in COMPATIBLE_JOURNAL_VERSIONS
-            or header.get("schema") != self.schema
+            or header.get("journal") != self.family.magic
+            or header.get("version") != JOURNAL_VERSION
+            or header.get("schema") != self.family.schema
         ):
             return entries, False
         for line in lines[1:]:
@@ -191,9 +178,7 @@ class SweepJournal:
                 record = json.loads(line)
                 key = record["key"]
                 blob = record["result"]
-                if "crc" in record and record["crc"] != record_crc(
-                    f"{key}\x00{blob}"
-                ):
+                if record.get("crc") != record_crc(f"{key}\x00{blob}"):
                     # The CRC was written with the record, so a mismatch
                     # means the line was cut mid-append: skip exactly it.
                     self.skipped += 1
@@ -205,7 +190,7 @@ class SweepJournal:
                 # whole journal.
                 self.skipped += 1
                 continue
-            if isinstance(key, str) and isinstance(result, self.result_type):
+            if isinstance(key, str) and isinstance(result, self.family.payload):
                 entries[key] = result
             else:
                 self.skipped += 1

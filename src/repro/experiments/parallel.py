@@ -39,12 +39,15 @@ Concretely (see ``docs/robustness.md`` for the failure model):
   ``KeyboardInterrupt`` drains in-flight work before raising
   :class:`SweepInterrupted`, so an interrupted sweep resumes from the
   journal bit-identically instead of restarting.
+
+:func:`run_jobs` is the one driver: sessions, trace recording and
+analysis, fleet cohorts and arena cells all resolve each job the same
+way — journal, then cache, then computation.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import shutil
@@ -69,6 +72,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
 )
@@ -76,8 +80,10 @@ from typing import (
 from ..core.session import StreamingSession
 from ..faults import active_plan
 from ..storage import (
+    JobFamily,
     Quarantine,
     StorageReport,
+    canonical_digest,
     is_readonly_error,
     publish_bytes,
     verified_read,
@@ -99,6 +105,9 @@ SCHEMA_VERSION = 2
 #: from the dataclass and fails if the fields changed without a
 #: SCHEMA_VERSION bump alongside an updated fingerprint here.
 SCHEMA_FINGERPRINT = "972341064bfabe6a"
+
+#: Session jobs: what ``repro sweep`` journals and the result cache holds.
+SWEEP_JOBS = JobFamily("sweep", SCHEMA_VERSION, SessionResult)
 
 #: Seed stride between repetitions of a cell (a prime, so overlapping
 #: sweeps with different base seeds rarely collide).
@@ -176,7 +185,7 @@ class RetryPolicy:
 
 @dataclass
 class FabricReport:
-    """What the fabric did on one :func:`run_sessions` call.
+    """What the fabric did on one :func:`run_jobs` call.
 
     Callers pass an instance in to collect the sweep summary the CLIs
     print (cache hits, resumed jobs, retries, quarantined entries, …).
@@ -278,12 +287,11 @@ def cache_key(spec: SessionSpec) -> str:
             "frame_rates": list(asset.frame_rates),
         },
     }
-    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(material)
 
 
 class ResultCache:
-    """Content-addressed pickle store for :class:`SessionResult`.
+    """Content-addressed pickle store for one job family's results.
 
     Layout: ``<root>/<key[:2]>/<key>.pkl`` (two-level fan-out keeps
     directory listings sane at millions of entries).  Writes are atomic
@@ -298,20 +306,19 @@ class ResultCache:
     def __init__(
         self,
         root: Path | str,
-        result_type: type = SessionResult,
+        family: JobFamily = SWEEP_JOBS,
         *,
         surface: str = "result-cache",
     ) -> None:
         self.root = Path(root)
-        #: Entry payload type accepted on read.  Session sweeps use the
-        #: default; other job families (e.g. arena records) pass their
-        #: own so a foreign or stale entry is quarantined, not replayed.
-        self.result_type = result_type
+        #: Entry payload type accepted on read: a foreign entry is
+        #: quarantined, not replayed.
+        self.result_type = family.payload
         #: Storage fault point (``storage:<surface>``) and envelope kind.
         self.surface = surface
         #: Envelope schema tag: entries written under a different result
         #: schema or payload type are quarantined on read, not replayed.
-        self.schema = f"v{SCHEMA_VERSION}/{result_type.__name__}"
+        self.schema = f"v{family.schema}/{family.payload.__name__}"
         self.hits = 0
         self.misses = 0
         self.report = StorageReport()
@@ -339,8 +346,8 @@ class ResultCache:
         try:
             result = pickle.loads(data)
         except Exception as exc:
-            # Checksum-clean (or legacy, unverifiable) bytes that still
-            # fail to unpickle were written by an incompatible version:
+            # Checksum-clean bytes that still fail to unpickle were
+            # written by an incompatible version:
             # quarantine the entry and recompute.
             self._q.take(path, repr(exc))
             self.misses += 1
@@ -525,13 +532,6 @@ def _run_chunk(
         results.append(runner(payload))
     beat.idle()
     return results
-
-
-def run_spec_chunk(
-    specs: Sequence[SessionSpec], hb_dir: Optional[str] = None
-) -> List[SessionResult]:
-    """Execute a chunk of session jobs in order (worker entry point)."""
-    return list(_run_chunk(specs, run_spec, hb_dir))
 
 
 def _run_with_retries(
@@ -739,106 +739,23 @@ def _run_pool(
         return
 
 
-def run_sessions(
-    specs: Sequence[SessionSpec],
-    jobs: Optional[int] = None,
-    cache: Any = None,
-    journal: Optional["SweepJournal"] = None,
-    policy: Optional[RetryPolicy] = None,
-    report: Optional[FabricReport] = None,
-) -> List[SessionResult]:
-    """Run session jobs, in parallel when asked, returning results in
-    submission order regardless of completion order.
+class JobCache(Protocol):
+    """Where finished job results persist between runs: a
+    :class:`ResultCache`, or an adapter over one (see ``record_traces``).
+    ``get`` returns ``None`` on a miss."""
 
-    Resolution order per job: checkpoint ``journal`` hit, then result
-    ``cache`` hit, then computation (fanned out across ``jobs`` worker
-    processes when the spec allows it).  Serial, parallel, cached,
-    resumed, and fault-recovered paths all yield bit-identical results
-    for the same specs.  ``policy`` tunes supervision (retries, hang
-    timeout, pool restarts); ``report`` collects fabric statistics.
-    """
-    store = resolve_cache(cache)
-    policy = policy if policy is not None else RetryPolicy()
-    stats = report if report is not None else FabricReport()
-    results: List[Optional[SessionResult]] = [None] * len(specs)
-    keys: Dict[int, str] = {}
-    journal_map = journal.begin() if journal is not None else {}
-    fan_out: List[int] = []
-    in_process: List[int] = []
-    quarantined_before = store.quarantined if store is not None else 0
+    @property
+    def quarantined(self) -> int: ...
 
-    def complete(index: int, result: SessionResult) -> None:
-        results[index] = result
-        stats.computed += 1
-        key = keys.get(index)
-        if key is None:
-            return
-        if journal is not None:
-            journal.record(key, result)
-        if store is not None:
-            store.put(key, result)
+    def get(self, key: str) -> Optional[Any]: ...
 
-    for index, spec in enumerate(specs):
-        if not spec.cacheable:
-            (fan_out if spec.parallel_safe else in_process).append(index)
-            continue
-        key = cache_key(spec)
-        keys[index] = key
-        resumed = journal_map.get(key)
-        if resumed is not None:
-            results[index] = resumed
-            stats.resumed += 1
-            continue
-        if store is not None:
-            hit = store.get(key)
-            if hit is not None:
-                results[index] = hit
-                stats.cache_hits += 1
-                if journal is not None:
-                    journal.record(key, hit)
-                continue
-        fan_out.append(index)
+    def put(self, key: str, result: Any) -> None: ...
 
-    seeds = [spec.seed for spec in specs]
-    try:
-        n_workers = effective_jobs(jobs, len(fan_out))
-        if fan_out:
-            if n_workers <= 1:
-                for index in fan_out:
-                    complete(index, _run_with_retries(
-                        specs[index], run_spec, seeds[index], policy, stats
-                    ))
-            else:
-                _run_pool(
-                    specs, run_spec, seeds, fan_out, n_workers, policy,
-                    stats, complete,
-                )
-        # Shared-instance ABR jobs: run in submission order, in-process,
-        # so their cross-repetition state evolves exactly as a serial
-        # run's.
-        for index in in_process:
-            complete(index, _run_with_retries(
-                specs[index], run_spec, seeds[index], policy, stats
-            ))
-    except KeyboardInterrupt:
-        stats.interrupted = True
-        journal_path: Optional[Path] = None
-        if journal is not None:
-            journal_path = journal.path
-            journal.close()
-        if store is not None:
-            stats.quarantined += store.quarantined - quarantined_before
-        raise SweepInterrupted(
-            completed=sum(1 for r in results if r is not None),
-            total=len(specs),
-            journal_path=journal_path,
-        ) from None
 
-    if journal is not None:
-        journal.close()
-    if store is not None:
-        stats.quarantined += store.quarantined - quarantined_before
-    return results  # type: ignore[return-value]
+#: What a :class:`JobCache` returns for a job that is done but whose
+#: result it does not hold (a stored trace whose session result has
+#: left the cache): a hit whose slot stays ``None`` and is not journaled.
+NO_RESULT: Any = object()
 
 
 def run_jobs(
@@ -848,21 +765,26 @@ def run_jobs(
     keys: Optional[Sequence[Optional[str]]] = None,
     seeds: Optional[Sequence[int]] = None,
     jobs: Optional[int] = None,
+    cache: Optional[JobCache] = None,
     journal: Optional["SweepJournal"] = None,
     policy: Optional[RetryPolicy] = None,
     report: Optional[FabricReport] = None,
 ) -> List[Any]:
-    """Run arbitrary jobs on the session fabric (generic entry point).
+    """Run picklable ``runner(payload)`` jobs on the fabric, returning
+    results in submission order regardless of completion order.
 
-    The same supervision machinery as :func:`run_sessions` — chunked
-    dispatch, heartbeat hang detection, deterministic-backoff retries,
-    pool restart then serial degradation, checkpoint journaling, Ctrl-C
-    drain — applied to any picklable ``runner(payload)`` pairs (e.g.
-    cohort shards of the fleet population engine).
+    Resolution order per keyed job: checkpoint ``journal`` hit, then
+    ``cache`` hit, then computation — chunked across ``jobs`` worker
+    processes with heartbeat hang detection, deterministic-backoff
+    retries, pool restart then serial degradation, and a Ctrl-C drain
+    that raises :class:`SweepInterrupted`.  Cache hits and computed
+    results are both journaled, so ``--resume --no-cache`` replays
+    everything already done; computed results also land in the cache.
 
-    ``keys`` are per-job journal keys (``None`` disables journaling for
-    that job); ``seeds`` feed the deterministic retry backoff (defaults
-    to the payload index).  Results return in submission order.
+    ``keys`` are per-job journal and cache keys (``None`` opts a job
+    out of both); ``seeds`` feed the deterministic retry backoff
+    (defaults to the payload index).  Serial, parallel, cached,
+    resumed, and fault-recovered runs yield bit-identical results.
     """
     policy = policy if policy is not None else RetryPolicy()
     stats = report if report is not None else FabricReport()
@@ -877,56 +799,112 @@ def run_jobs(
     results: List[Any] = [None] * len(payloads)
     done: List[bool] = [False] * len(payloads)
     journal_map = journal.begin() if journal is not None else {}
+    quarantined_before = cache.quarantined if cache is not None else 0
     fan_out: List[int] = []
 
-    def complete(index: int, result: Any) -> None:
-        results[index] = result
+    def complete(index: int, result: Any, cached: bool = False) -> None:
         done[index] = True
-        stats.computed += 1
+        if cached:
+            stats.cache_hits += 1
+        else:
+            stats.computed += 1
+        if result is NO_RESULT:
+            return
+        results[index] = result
         key = job_keys[index]
-        if key is not None and journal is not None:
+        if key is None:
+            return
+        if journal is not None:
             journal.record(key, result)
+        if cache is not None and not cached:
+            cache.put(key, result)
 
-    for index in range(len(payloads)):
-        key = job_keys[index]
-        if key is not None:
-            resumed = journal_map.get(key)
-            if resumed is not None:
-                results[index] = resumed
-                done[index] = True
-                stats.resumed += 1
-                continue
-        fan_out.append(index)
+    for index, key in enumerate(job_keys):
+        if key is None:
+            fan_out.append(index)
+        elif key in journal_map:
+            results[index] = journal_map[key]
+            done[index] = True
+            stats.resumed += 1
+        else:
+            hit = cache.get(key) if cache is not None else None
+            if hit is None:
+                fan_out.append(index)
+            else:
+                complete(index, hit, cached=True)
 
     try:
         n_workers = effective_jobs(jobs, len(fan_out))
-        if fan_out:
-            if n_workers <= 1:
-                for index in fan_out:
-                    complete(index, _run_with_retries(
-                        payloads[index], runner, job_seeds[index],
-                        policy, stats,
-                    ))
-            else:
-                _run_pool(
-                    payloads, runner, job_seeds, fan_out, n_workers,
-                    policy, stats, complete,
-                )
+        if n_workers <= 1:
+            for index in fan_out:
+                complete(index, _run_with_retries(
+                    payloads[index], runner, job_seeds[index], policy, stats
+                ))
+        else:
+            _run_pool(
+                payloads, runner, job_seeds, fan_out, n_workers, policy,
+                stats, complete,
+            )
     except KeyboardInterrupt:
         stats.interrupted = True
-        journal_path: Optional[Path] = None
-        if journal is not None:
-            journal_path = journal.path
-            journal.close()
         raise SweepInterrupted(
-            completed=sum(1 for d in done if d),
+            completed=sum(done),
             total=len(payloads),
-            journal_path=journal_path,
+            journal_path=journal.path if journal is not None else None,
         ) from None
-
-    if journal is not None:
-        journal.close()
+    finally:
+        if journal is not None:
+            journal.close()
+        if cache is not None:
+            stats.quarantined += cache.quarantined - quarantined_before
     return results
+
+
+def run_sessions(
+    specs: Sequence[SessionSpec],
+    jobs: Optional[int] = None,
+    cache: Any = None,
+    journal: Optional["SweepJournal"] = None,
+    policy: Optional[RetryPolicy] = None,
+    report: Optional[FabricReport] = None,
+) -> List[SessionResult]:
+    """Run session jobs through :func:`run_jobs`, keyed by
+    :func:`cache_key` (``cache`` as in :func:`resolve_cache`).
+
+    Specs with a shared-instance ABR are neither journaled nor cached;
+    they run last, in-process and in submission order, so their
+    cross-repetition state evolves exactly as a serial run's.
+    """
+    store = resolve_cache(cache)
+    stats = report if report is not None else FabricReport()
+    results: List[Optional[SessionResult]] = [None] * len(specs)
+    pooled = [i for i, spec in enumerate(specs) if spec.parallel_safe]
+    shared = [i for i, spec in enumerate(specs) if not spec.parallel_safe]
+    try:
+        for part, workers in ((pooled, jobs), (shared, None)):
+            part_results = run_jobs(
+                [specs[i] for i in part],
+                run_spec,
+                keys=[
+                    cache_key(specs[i]) if specs[i].cacheable else None
+                    for i in part
+                ],
+                seeds=[specs[i].seed for i in part],
+                jobs=workers,
+                cache=store,
+                journal=journal if part is pooled else None,
+                policy=policy,
+                report=stats,
+            )
+            for index, result in zip(part, part_results):
+                results[index] = result
+    except SweepInterrupted as exc:
+        raise SweepInterrupted(
+            completed=exc.completed + sum(r is not None for r in results),
+            total=len(specs),
+            journal_path=journal.path if journal is not None else None,
+        ) from None
+    return results  # type: ignore[return-value]
 
 
 def resolve_jobs(jobs: Optional[int]) -> Optional[int]:

@@ -15,7 +15,9 @@ arena leaderboard   :mod:`repro.arena.leaderboard`              ``storage:leader
 
 :mod:`repro.storage.atomic` is the publish discipline (tmp + fsync +
 ``os.replace`` + directory fsync), :mod:`repro.storage.envelope` the
-checksummed sidecars and quarantine-on-mismatch reads, and
+checksummed sidecars, quarantine-on-mismatch reads, the job-family
+descriptor and :func:`canonical_digest` (the one content-address
+hash), and
 :mod:`repro.storage.fsck` the scrubber behind ``repro fsck``.  The
 package is stdlib-only: the lint toolchain imports it on a bare
 checkout, and numpy-handling surfaces pass writer callables into
@@ -43,7 +45,9 @@ from .envelope import (
     SIDECAR_SUFFIX,
     Envelope,
     IntegrityError,
+    JobFamily,
     Quarantine,
+    canonical_digest,
     read_sidecar,
     sha256_hex,
     sidecar_path,
@@ -61,9 +65,11 @@ __all__ = [
     "Envelope",
     "FsckReport",
     "IntegrityError",
+    "JobFamily",
     "Quarantine",
     "StorageReport",
     "StoreFsck",
+    "canonical_digest",
     "default_roots",
     "fsync_dir",
     "fsync_handle",

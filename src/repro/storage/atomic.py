@@ -69,8 +69,6 @@ class StorageReport:
     published: int = 0
     #: Reads whose checksum envelope verified.
     verified: int = 0
-    #: Reads of pre-envelope artifacts (no sidecar to verify against).
-    legacy_reads: int = 0
     #: Corrupt artifacts moved to quarantine (never deleted).
     quarantined: int = 0
     #: Publishes that failed (full disk, injected crash, ...) without
@@ -85,8 +83,6 @@ class StorageReport:
         parts = [f"published {self.published}"]
         if self.verified:
             parts.append(f"verified {self.verified}")
-        if self.legacy_reads:
-            parts.append(f"legacy reads {self.legacy_reads}")
         if self.quarantined:
             parts.append(f"quarantined {self.quarantined}")
         if self.publish_errors:

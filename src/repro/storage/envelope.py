@@ -9,8 +9,9 @@ publish time::
 
 The sidecar is itself published atomically *after* the artifact, so the
 possible on-disk states after any crash are: neither file, artifact
-without sidecar (indistinguishable from a legacy pre-envelope artifact),
-or both — never a sidecar describing bytes that are not there.
+without sidecar (a publish that died between the two: read as a miss,
+republished by the next write), or both — never a sidecar describing
+bytes that are not there.
 
 :func:`verified_read` is the read half of the discipline: hash the
 artifact, compare against the sidecar, and on any mismatch hand the
@@ -54,6 +55,34 @@ class IntegrityError(RuntimeError):
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def canonical_digest(obj: Any) -> str:
+    """SHA-256 of ``obj``'s canonical JSON (sorted keys, no spaces).
+
+    The one content-address function: job keys, trace keys, analytics
+    and leaderboard digests all hash their material through it.
+    """
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@dataclass(frozen=True)
+class JobFamily:
+    """What one kind of fabric job stores: its name, schema and payload.
+
+    Journals stamp ``magic`` and ``schema`` into their header and result
+    caches stamp ``schema`` and the payload type into each envelope, so
+    a stale or foreign journal or entry is discarded, never replayed.
+    """
+
+    name: str
+    schema: int
+    payload: type
+
+    @property
+    def magic(self) -> str:
+        return f"repro-{self.name}"
 
 
 def sidecar_path(artifact: Union[str, Path]) -> Path:
@@ -120,7 +149,7 @@ def write_sidecar(
 
 
 def read_sidecar(artifact: Union[str, Path]) -> Optional[Envelope]:
-    """Parse an artifact's sidecar; ``None`` when absent (legacy file).
+    """Parse an artifact's sidecar; ``None`` when absent.
 
     A sidecar that exists but cannot be parsed raises
     :class:`IntegrityError` — a present-but-garbled envelope is itself
@@ -207,10 +236,10 @@ def verified_read(
     Returns the verified payload, or ``None`` for every degraded case:
     artifact missing, checksum mismatch (quarantined), garbled sidecar
     (quarantined), schema drift (quarantined — an old-format artifact
-    is a miss, not an error).  An artifact with **no** sidecar is
-    returned as-is with ``legacy_reads`` incremented; the caller's own
-    parse-validation is the only line of defence for those, exactly as
-    before this layer existed.
+    is a miss, not an error).  An artifact with **no** sidecar is a
+    publish that died before its sidecar landed (or one still in
+    flight): a plain miss, left in place for the next publish to
+    replace.
     """
     artifact = Path(artifact)
     report = quarantine.report
@@ -226,8 +255,7 @@ def verified_read(
         quarantine.take(artifact, str(exc))
         return None
     if envelope is None:
-        report.legacy_reads += 1
-        return data
+        return None
     if envelope.size != len(data) or envelope.sha256 != sha256_hex(data):
         quarantine.take(
             artifact,

@@ -5,15 +5,16 @@ Walks one or more store roots and classifies every file it finds:
 * **artifact with sidecar** — hash the bytes, compare to the envelope;
   a mismatch is an integrity finding (the store will quarantine it on
   next read, fsck just surfaces it early);
-* **artifact without sidecar** — a legacy, pre-envelope file; counted,
-  and ``--repair`` blesses its current bytes by deriving a sidecar;
+* **artifact without sidecar** — a publish that died between the
+  artifact and its sidecar; integrity finding (reads already treat it
+  as a miss), pruned by ``--repair``;
 * **orphaned ``*.tmp``** — a writer died between staging and publish;
   integrity finding, pruned by ``--repair``;
 * **dangling sidecar** — an envelope whose artifact is gone; integrity
   finding, pruned by ``--repair``;
 * **journal** (``*.journal``) — header parsed, every record's CRC
-  checked; a torn or garbled record is an integrity finding (resume
-  skips it, fsck names it);
+  checked; a torn, garbled or CRC-less record is an integrity finding
+  (resume skips it, fsck names it);
 * **quarantine contents** — informational only: quarantine is exactly
   where corrupt artifacts are supposed to be.
 
@@ -25,9 +26,10 @@ error (e.g. a root that is not a directory).
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Union
 
 from .atomic import TMP_SUFFIX, record_crc
 from .envelope import (
@@ -37,10 +39,10 @@ from .envelope import (
     read_sidecar,
     sha256_hex,
     sidecar_path,
-    write_sidecar,
 )
 
-FSCK_SCHEMA_VERSION = 1
+#: 2: the ``legacy`` count is gone; sidecar-less artifacts are findings.
+FSCK_SCHEMA_VERSION = 2
 
 #: File suffixes fsck recognises as journals (line-JSON with header).
 JOURNAL_SUFFIX = ".journal"
@@ -74,10 +76,11 @@ class Finding:
 
 
 #: Finding problems that count as integrity findings (gate CI); the
-#: rest — quarantine contents, legacy files — are informational.
+#: rest are informational.
 INTEGRITY_PROBLEMS = frozenset(
     {"checksum-mismatch", "orphan-tmp", "dangling-sidecar",
-     "garbled-sidecar", "torn-journal-record", "garbled-journal-header"}
+     "missing-sidecar", "garbled-sidecar", "torn-journal-record",
+     "garbled-journal-header"}
 )
 
 
@@ -88,7 +91,6 @@ class StoreFsck:
     root: str
     artifacts: int = 0
     verified: int = 0
-    legacy: int = 0
     journals: int = 0
     journal_records: int = 0
     quarantined: int = 0
@@ -106,7 +108,6 @@ class StoreFsck:
             "root": self.root,
             "artifacts": self.artifacts,
             "verified": self.verified,
-            "legacy": self.legacy,
             "journals": self.journals,
             "journal_records": self.journal_records,
             "quarantined": self.quarantined,
@@ -119,7 +120,6 @@ class StoreFsck:
             root=str(payload["root"]),
             artifacts=int(payload["artifacts"]),
             verified=int(payload["verified"]),
-            legacy=int(payload["legacy"]),
             journals=int(payload["journals"]),
             journal_records=int(payload["journal_records"]),
             quarantined=int(payload["quarantined"]),
@@ -177,7 +177,7 @@ class FsckReport:
             status = "clean" if not bad else f"{bad} integrity finding(s)"
             lines.append(
                 f"{store.root}: {status} — {store.artifacts} artifact(s), "
-                f"{store.verified} verified, {store.legacy} legacy, "
+                f"{store.verified} verified, "
                 f"{store.journals} journal(s), "
                 f"{store.quarantined} quarantined"
             )
@@ -225,9 +225,9 @@ def _scrub_journal(path: Path, store: StoreFsck) -> None:
             entry = json.loads(line)
             if not isinstance(entry, dict):
                 detail = "record is not a JSON object"
-            elif "crc" in entry:
+            else:
                 payload = f"{entry.get('key', '')}\x00{entry.get('result', '')}"
-                if record_crc(payload) != entry["crc"]:
+                if record_crc(payload) != entry.get("crc"):
                     detail = "record CRC mismatch"
         except ValueError:
             detail = "unparseable record"
@@ -240,6 +240,16 @@ def _scrub_journal(path: Path, store: StoreFsck) -> None:
             store.journal_records += 1
 
 
+def _debris(path: Path, problem: str, detail: str, repair: bool) -> Finding:
+    """A finding for a file that is only crash debris; ``repair`` prunes it."""
+    repaired = False
+    if repair:
+        with suppress(OSError):
+            path.unlink()
+            repaired = True
+    return Finding(str(path), problem, detail, repaired=repaired)
+
+
 def _scrub_artifact(path: Path, store: StoreFsck, repair: bool) -> None:
     store.artifacts += 1
     try:
@@ -249,24 +259,18 @@ def _scrub_artifact(path: Path, store: StoreFsck, repair: bool) -> None:
             Finding(str(sidecar_path(path)), "garbled-sidecar", str(exc))
         )
         return
+    if envelope is None:
+        store.findings.append(_debris(
+            path, "missing-sidecar",
+            "publish died before its sidecar landed", repair,
+        ))
+        return
     try:
         data = path.read_bytes()
     except OSError as exc:
         store.findings.append(
             Finding(str(path), "checksum-mismatch", f"unreadable: {exc}")
         )
-        return
-    if envelope is None:
-        store.legacy += 1
-        if repair:
-            write_sidecar(
-                path, kind="fsck-derived", schema="unknown",
-                digest=sha256_hex(data), size=len(data),
-            )
-            store.findings.append(
-                Finding(str(path), "legacy-artifact",
-                        "derived envelope from current bytes", repaired=True)
-            )
         return
     if envelope.size != len(data) or envelope.sha256 != sha256_hex(data):
         store.findings.append(
@@ -294,33 +298,17 @@ def scrub_root(
             continue
         name = path.name
         if name.endswith(TMP_SUFFIX):
-            repaired = False
-            if repair:
-                try:
-                    path.unlink()
-                    repaired = True
-                except OSError:
-                    repaired = False
-            store.findings.append(
-                Finding(str(path), "orphan-tmp",
-                        "staged file with no publisher", repaired=repaired)
-            )
+            store.findings.append(_debris(
+                path, "orphan-tmp", "staged file with no publisher", repair
+            ))
             continue
         if name.endswith(SIDECAR_SUFFIX):
             artifact = path.with_name(name[: -len(SIDECAR_SUFFIX)])
             if not artifact.exists():
-                repaired = False
-                if repair:
-                    try:
-                        path.unlink()
-                        repaired = True
-                    except OSError:
-                        repaired = False
-                store.findings.append(
-                    Finding(str(path), "dangling-sidecar",
-                            f"artifact {artifact.name} is gone",
-                            repaired=repaired)
-                )
+                store.findings.append(_debris(
+                    path, "dangling-sidecar",
+                    f"artifact {artifact.name} is gone", repair,
+                ))
             continue
         if name.endswith(JOURNAL_SUFFIX):
             _scrub_journal(path, store)

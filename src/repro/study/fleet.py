@@ -17,21 +17,15 @@ placement, and any resume/retry history produce a bit-identical merged
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..experiments.checkpoint import SweepJournal
-from ..experiments.parallel import (
-    FabricReport,
-    RetryPolicy,
-    default_cache_dir,
-    run_jobs,
-)
+from ..experiments.parallel import FabricReport, RetryPolicy, run_jobs
 from ..faults import active_plan
 from ..sim.rng import derive_seed
+from ..storage import JobFamily, canonical_digest
 from .cohort import (
     CohortResult,
     FleetConfig,
@@ -46,8 +40,6 @@ from .signalcapturer import DeviceLog
 #: that alters results: old journals and export files then stop
 #: matching.
 POP_SCHEMA_VERSION = 1
-
-FLEET_JOURNAL_MAGIC = "repro-fleet"
 
 
 @dataclass(frozen=True)
@@ -87,8 +79,28 @@ def cohort_job_key(job: CohortJob) -> str:
         "export": job.export_dir or "",
         "keep": job.keep_columns,
     }
-    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(material)
+
+
+#: Cohort shards: what ``repro study --devices`` journals.
+FLEET_JOBS = JobFamily("fleet", POP_SCHEMA_VERSION, CohortResult)
+
+
+def cohort_jobs(
+    config: FleetConfig,
+    export_dir: Optional[Path] = None,
+    keep_logs: bool = False,
+) -> List[CohortJob]:
+    """The run's cohort jobs, in cohort order."""
+    return [
+        CohortJob(
+            cohort_index=c,
+            config=config,
+            export_dir=None if export_dir is None else str(export_dir),
+            keep_columns=keep_logs,
+        )
+        for c in range(n_cohorts(config))
+    ]
 
 
 def run_cohort_job(job: CohortJob) -> CohortResult:
@@ -116,32 +128,9 @@ def run_cohort_job(job: CohortJob) -> CohortResult:
     return result
 
 
-def fleet_digest(config: FleetConfig) -> str:
-    """Stable identity of a fleet run (for the default journal path)."""
-    probe = CohortJob(cohort_index=-1, config=config)
-    return cohort_job_key(probe)
-
-
-def default_fleet_journal_path(
-    config: FleetConfig, root: Optional[Path] = None
-) -> Path:
-    """``<cache root>/journals/fleet-<digest>.journal``."""
-    base = root if root is not None else default_cache_dir()
-    return base / "journals" / f"fleet-{fleet_digest(config)[:16]}.journal"
-
-
-def fleet_journal(
-    path: Path | str, resume: bool = True
-) -> SweepJournal:
-    """A checkpoint journal for cohort-shard jobs (same file format as
-    sweep journals, with the fleet magic/schema/payload type)."""
-    return SweepJournal(
-        path,
-        resume=resume,
-        magic=FLEET_JOURNAL_MAGIC,
-        schema=POP_SCHEMA_VERSION,
-        result_type=CohortResult,
-    )
+def fleet_journal(path: Path | str, resume: bool = True) -> SweepJournal:
+    """A checkpoint journal for cohort-shard jobs."""
+    return SweepJournal(path, resume=resume, family=FLEET_JOBS)
 
 
 @dataclass
@@ -174,28 +163,18 @@ def run_fleet(
     complete (memory stays O(cohorts)); ``keep_logs`` instead carries
     the logs home in RAM — the escape hatch for small populations.
     """
-    total = n_cohorts(config)
     if export_dir is not None:
         export_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [
-        CohortJob(
-            cohort_index=c,
-            config=config,
-            export_dir=None if export_dir is None else str(export_dir),
-            keep_columns=keep_logs,
-        )
-        for c in range(total)
-    ]
-    keys = [cohort_job_key(job) for job in payloads]
-    seeds = [
-        derive_seed(config.seed, f"study.fleet{c}") for c in range(total)
-    ]
+    payloads = cohort_jobs(config, export_dir, keep_logs)
     stats = report if report is not None else FabricReport()
     results: Sequence[Optional[CohortResult]] = run_jobs(
         payloads,
         run_cohort_job,
-        keys=keys,
-        seeds=seeds,
+        keys=[cohort_job_key(job) for job in payloads],
+        seeds=[
+            derive_seed(config.seed, f"study.fleet{job.cohort_index}")
+            for job in payloads
+        ],
         jobs=jobs,
         journal=journal,
         policy=policy,

@@ -9,9 +9,9 @@ split for the simulator:
   (detached) trace — recording is observation-only, so the result is
   bit-identical to an untraced :func:`~repro.experiments.parallel.run_spec`
   of the same spec;
-* :func:`record_traces` fans recording over the generic job fabric and
-  persists each trace into a content-addressed
-  :class:`~repro.trace.store.TraceStore`;
+* :func:`record_traces` fans recording over the job fabric
+  (:func:`~repro.experiments.parallel.run_jobs`) and persists each
+  trace into a content-addressed :class:`~repro.trace.store.TraceStore`;
 * :func:`analyze_view` answers the five §5 queries over any
   :class:`~repro.trace.view.TraceView` — live or replayed — as one
   plain-data :class:`TraceAnalytics`;
@@ -28,10 +28,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-import hashlib
-import json
-
 from ..sim.clock import Time
+from ..storage import JobFamily, canonical_digest
+from ..video.player import SessionResult
 from .analysis import (
     PreemptionStats,
     cpu_utilization_series,
@@ -42,17 +41,17 @@ from .analysis import (
     top_running_threads,
 )
 from .recorder import TraceRecorder
-from .store import TraceStore, trace_key
+from .store import TRACE_SCHEMA_VERSION, TraceStore, trace_key
 from .view import TraceView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..experiments.checkpoint import SweepJournal
     from ..experiments.parallel import (
         FabricReport,
+        ResultCache,
         RetryPolicy,
         SessionSpec,
     )
-    from ..video.player import SessionResult
 
 #: Client-thread name prefixes counted as "video client threads"
 #: (footnote 11: SurfaceFlinger, MediaCodec, and the browser's own).
@@ -60,10 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 VIDEO_THREAD_PREFIXES = (
     "MediaCodec", "SurfaceFlinger", "firefox", "chrome", "exoplayer"
 )
-
-#: Journal family tag for replay-analytics checkpoints — distinct from
-#: the session-sweep magic so a foreign journal is discarded, not read.
-ANALYTICS_JOURNAL_MAGIC = "repro-trace-analytics"
 
 #: Threads the §5 queries single out by name.
 KSWAPD_THREAD = "kswapd0"
@@ -129,10 +124,18 @@ class TraceAnalytics:
 
     def digest(self) -> str:
         """SHA-256 over the canonical form — bit-identity in one value."""
-        blob = json.dumps(
-            self.canonical(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return canonical_digest(self.canonical())
+
+
+#: Trace-recording jobs, keyed by trace address (which folds in the
+#: session schema through the spec's cache key).
+TRACE_RECORD_JOBS = JobFamily(
+    "trace-record", TRACE_SCHEMA_VERSION, SessionResult
+)
+#: Replay-analytics jobs, keyed by ``analytics:<trace key>``.
+TRACE_ANALYTICS_JOBS = JobFamily(
+    "trace-analytics", TRACE_SCHEMA_VERSION, TraceAnalytics
+)
 
 
 def analyze_view(
@@ -165,7 +168,7 @@ def analyze_view(
 
 def record_session_trace(
     spec: "SessionSpec",
-) -> Tuple["SessionResult", TraceRecorder]:
+) -> Tuple[SessionResult, TraceRecorder]:
     """Run one session job with a trace recorder attached throughout.
 
     The session is constructed exactly as
@@ -216,7 +219,7 @@ class TraceRecordJob:
     store_root: str
 
 
-def record_trace_job(job: TraceRecordJob) -> "SessionResult":
+def record_trace_job(job: TraceRecordJob) -> SessionResult:
     """Record one session's trace into the store (worker entry point)."""
     from ..experiments.parallel import cache_key
 
@@ -241,6 +244,45 @@ def record_trace_job(job: TraceRecordJob) -> "SessionResult":
     return result
 
 
+class _RecordedTraces:
+    """The cache record jobs resolve against: a job is done once its
+    trace is in ``store``.
+
+    A done job's result is its session's entry in ``sessions`` (the
+    ordinary result cache), or ``NO_RESULT`` when that is gone or
+    caching is off; a freshly recorded result lands in ``sessions``.
+    """
+
+    def __init__(
+        self,
+        store: TraceStore,
+        sessions: Optional["ResultCache"],
+        session_keys: Dict[str, str],
+    ) -> None:
+        self.store = store
+        self.sessions = sessions
+        self.session_keys = session_keys
+
+    @property
+    def quarantined(self) -> int:
+        return 0 if self.sessions is None else self.sessions.quarantined
+
+    def get(self, key: str) -> Any:
+        from ..experiments.parallel import NO_RESULT
+
+        if not self.store.contains(key):
+            return None
+        result = (
+            None if self.sessions is None
+            else self.sessions.get(self.session_keys[key])
+        )
+        return NO_RESULT if result is None else result
+
+    def put(self, key: str, result: Any) -> None:
+        if self.sessions is not None:
+            self.sessions.put(self.session_keys[key], result)
+
+
 def record_traces(
     specs: Sequence["SessionSpec"],
     store: TraceStore,
@@ -249,12 +291,12 @@ def record_traces(
     policy: Optional["RetryPolicy"] = None,
     report: Optional["FabricReport"] = None,
     cache: Any = None,
-) -> List[Optional["SessionResult"]]:
+) -> List[Optional[SessionResult]]:
     """Record traces for ``specs`` into ``store`` on the job fabric.
 
-    Specs whose trace already exists in the store are skipped (their
-    slot holds ``None`` unless the session ``cache`` still has the
-    result); the rest fan out over ``jobs`` workers with the full
+    Specs whose trace already exists in the store count as cache hits
+    (their slot holds ``None`` unless the session ``cache`` still has
+    the result); the rest fan out over ``jobs`` workers with the full
     supervision stack — retries, journal-resume, Ctrl-C drain.  Each
     completed job also lands its :class:`SessionResult` in the cache,
     so recording warms the ordinary result cache.  ``cache`` follows
@@ -264,34 +306,22 @@ def record_traces(
     """
     from ..experiments.parallel import cache_key, resolve_cache, run_jobs
 
-    cache = resolve_cache(cache)
     session_keys = [cache_key(spec) for spec in specs]
-    results: List[Optional["SessionResult"]] = [None] * len(specs)
-    todo: List[int] = []
-    for index, session_key in enumerate(session_keys):
-        if store.contains(trace_key(session_key)):
-            if report is not None:
-                report.cache_hits += 1
-            if cache is not None:
-                results[index] = cache.get(session_key)
-            continue
-        todo.append(index)
-    if todo:
-        computed = run_jobs(
-            [TraceRecordJob(specs[i], str(store.root)) for i in todo],
-            record_trace_job,
-            keys=[trace_key(session_keys[i]) for i in todo],
-            seeds=[specs[i].seed for i in todo],
-            jobs=jobs,
-            journal=journal,
-            policy=policy,
-            report=report,
-        )
-        for index, result in zip(todo, computed):
-            results[index] = result
-            if cache is not None and result is not None:
-                cache.put(session_keys[index], result)
-    return results
+    trace_keys = [trace_key(key) for key in session_keys]
+    recorded = _RecordedTraces(
+        store, resolve_cache(cache), dict(zip(trace_keys, session_keys))
+    )
+    return run_jobs(
+        [TraceRecordJob(spec, str(store.root)) for spec in specs],
+        record_trace_job,
+        keys=trace_keys,
+        seeds=[spec.seed for spec in specs],
+        jobs=jobs,
+        cache=recorded,
+        journal=journal,
+        policy=policy,
+        report=report,
+    )
 
 
 # ======================================================================

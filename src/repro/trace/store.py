@@ -35,7 +35,6 @@ Format (schema-versioned; a mismatch on load is an error, not a guess):
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -50,7 +49,9 @@ from ..sim.clock import Time
 from ..storage import (
     Quarantine,
     StorageReport,
+    canonical_digest,
     publish_via,
+    sidecar_path,
     verified_read,
     write_sidecar,
 )
@@ -91,9 +92,9 @@ def trace_key(session_key: str) -> str:
     same machinery that addresses results addresses their traces — and
     a schema bump retires every stored trace at once.
     """
-    material = {"trace_schema": TRACE_SCHEMA_VERSION, "session": session_key}
-    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(
+        {"trace_schema": TRACE_SCHEMA_VERSION, "session": session_key}
+    )
 
 
 def default_trace_dir() -> Path:
@@ -435,7 +436,6 @@ def trace_digest(view: TraceView) -> Dict[str, object]:
             for name in sorted(view.counters)
         },
     }
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     transitions = sum(len(v) for v in view.transitions.values())
     return {
         "schema": TRACE_SCHEMA_VERSION,
@@ -446,7 +446,7 @@ def trace_digest(view: TraceView) -> Dict[str, object]:
         "migrations": sum(view.migrations.values()),
         "counter_samples": sum(len(v) for v in view.counters.values()),
         "span_ticks": view.end_time - view.start_time,
-        "content_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "content_sha256": canonical_digest(canonical),
     }
 
 
@@ -481,7 +481,9 @@ class TraceStore:
         return self.root / key[:2] / f"{key}{TRACE_SUFFIX}"
 
     def contains(self, key: str) -> bool:
-        return self.path_for(key).exists()
+        """True once the trace and its sidecar are both published."""
+        path = self.path_for(key)
+        return path.exists() and sidecar_path(path).exists()
 
     def save(
         self,
@@ -501,9 +503,9 @@ class TraceStore:
         try:
             return load_trace_bytes(data, label=str(path))
         except TraceFormatError as exc:
-            # Checksum-clean (or legacy, unverifiable) bytes that still
-            # fail to decode: quarantine and treat as missing so the
-            # affected trace is re-recorded.
+            # Checksum-clean bytes that still fail to decode:
+            # quarantine and treat as missing so the affected trace is
+            # re-recorded.
             self._q.take(path, str(exc))
             return None
 

@@ -17,13 +17,13 @@ series hash).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..core.session import StreamingSession
+from ..storage import canonical_digest
 from ..video.player import SessionResult
 
 #: Environment override for the golden-digest directory (tests).
@@ -64,7 +64,6 @@ def session_digest(result: SessionResult) -> Dict[str, object]:
         "signals": [[round(t, 6), level.name] for t, level in result.signals],
         "bitrates": list(result.played_bitrates_kbps),
     }
-    blob = json.dumps(series, sort_keys=True, separators=(",", ":"))
     return {
         "device": result.device_name,
         "resolution": result.resolution,
@@ -83,7 +82,7 @@ def session_digest(result: SessionResult) -> Dict[str, object]:
         "wall_span_s": round(result.wall_span_s, 6),
         "pss_mean_mb": round(result.pss_mean_mb, 3),
         "pss_max_mb": round(result.pss_max_mb, 3),
-        "series_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "series_sha256": canonical_digest(series),
     }
 
 

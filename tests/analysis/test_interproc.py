@@ -64,6 +64,17 @@ def test_good_chain_is_silent():
     )
 
 
+def test_wallclock_into_canonical_digest_fires_rep120():
+    findings = findings_for(["repro/taint/bad_digest.py"])
+    assert {f.rule for f in findings} == {"REP120"}
+    assert "wall-clock" in findings[0].message
+    assert "canonical_digest()" in findings[0].message
+
+
+def test_config_only_digest_is_silent():
+    assert rules_fired(["repro/taint/good_digest.py"]) == set()
+
+
 def test_unseeded_random_into_seed_kwarg_fires_rep121():
     findings = findings_for(["repro/taint/bad_random_seed.py"])
     assert {f.rule for f in findings} == {"REP121"}

@@ -9,14 +9,14 @@ acceptance gates for the arena's determinism story.
 import pytest
 
 from repro.arena import (
+    ARENA_JOBS,
     ArenaConfig,
-    ArenaRecord,
     arena_job_key,
     arena_jobs,
     artifact_bytes,
-    make_arena_journal,
     run_arena,
 )
+from repro.experiments.checkpoint import SweepJournal
 from repro.experiments.parallel import (
     FabricReport,
     ResultCache,
@@ -47,7 +47,7 @@ def test_parallel_run_is_byte_identical(reference_bytes):
 
 
 def test_cache_replay_is_byte_identical(tmp_path, reference_bytes):
-    cache = ResultCache(tmp_path / "cache", result_type=ArenaRecord)
+    cache = ResultCache(tmp_path / "cache", ARENA_JOBS)
     first = run_arena(CONFIG, jobs=1, cache=cache)
     assert artifact_bytes(first.leaderboard) == reference_bytes
 
@@ -72,7 +72,7 @@ def test_resume_after_interrupt_is_byte_identical(tmp_path, reference_bytes):
         with pytest.raises(SweepInterrupted) as excinfo:
             run_arena(
                 CONFIG, jobs=1,
-                journal=make_arena_journal(grid, path=journal_path),
+                journal=SweepJournal(journal_path, family=ARENA_JOBS),
             )
     assert excinfo.value.completed == 1
     assert excinfo.value.journal_path == journal_path
@@ -80,7 +80,7 @@ def test_resume_after_interrupt_is_byte_identical(tmp_path, reference_bytes):
     report = FabricReport()
     resumed = run_arena(
         CONFIG, jobs=1,
-        journal=make_arena_journal(grid, path=journal_path, resume=True),
+        journal=SweepJournal(journal_path, resume=True, family=ARENA_JOBS),
         report=report,
     )
     assert artifact_bytes(resumed.leaderboard) == reference_bytes
@@ -91,7 +91,6 @@ def test_resume_after_interrupt_is_byte_identical(tmp_path, reference_bytes):
 def test_foreign_journal_is_rejected_wholesale(tmp_path, reference_bytes):
     """A session-sweep journal at the arena journal's path must be
     discarded (magic/schema mismatch), not partially replayed."""
-    grid = arena_jobs(CONFIG)
     journal_path = tmp_path / "foreign.journal"
     journal_path.write_text(
         '{"journal":"repro-sweep","version":1,"schema":2}\n'
@@ -99,11 +98,30 @@ def test_foreign_journal_is_rejected_wholesale(tmp_path, reference_bytes):
     report = FabricReport()
     result = run_arena(
         CONFIG, jobs=1,
-        journal=make_arena_journal(grid, path=journal_path, resume=True),
+        journal=SweepJournal(journal_path, resume=True, family=ARENA_JOBS),
         report=report,
     )
     assert report.resumed == 0
     assert artifact_bytes(result.leaderboard) == reference_bytes
+
+
+def test_all_cache_hit_run_journals_every_job(tmp_path):
+    """Cache hits are journaled like computed cells (the fabric's one
+    rule), so ``--resume --no-cache`` replays everything already done."""
+    grid = arena_jobs(CONFIG)
+    cache = ResultCache(tmp_path / "cache", ARENA_JOBS)
+    run_arena(CONFIG, jobs=1, cache=cache)
+
+    journal_path = tmp_path / "arena.journal"
+    report = FabricReport()
+    run_arena(
+        CONFIG, jobs=1, cache=cache, report=report,
+        journal=SweepJournal(journal_path, resume=False, family=ARENA_JOBS),
+    )
+    assert report.cache_hits == len(grid)
+    replay = SweepJournal(journal_path, family=ARENA_JOBS)
+    assert set(replay.begin()) == {arena_job_key(job) for job in grid}
+    replay.close()
 
 
 def test_job_keys_cover_policy_identity():

@@ -204,8 +204,7 @@ def test_truncated_entry_is_recomputed_and_replaced(tmp_path):
 def test_wrong_payload_type_is_a_miss(tmp_path):
     store = ResultCache(tmp_path)
     key = cache_key(_spec())
-    store.path_for(key).parent.mkdir(parents=True)
-    store.path_for(key).write_bytes(pickle.dumps({"not": "a result"}))
+    store.put(key, {"not": "a result"})
     with pytest.warns(RuntimeWarning, match="quarantined"):
         assert store.get(key) is None
 
@@ -281,21 +280,23 @@ def test_run_jobs_pool_matches_serial():
 
 def test_run_jobs_journals_and_resumes(tmp_path):
     from repro.experiments.checkpoint import SweepJournal
+    from repro.storage import JobFamily
 
+    squares = JobFamily("squares", 1, int)
     payloads = [3, 5, 7]
     keys = [f"job{p}" for p in payloads]
     path = tmp_path / "jobs.journal"
     report = parallel.FabricReport()
     first = parallel.run_jobs(
         payloads, _square, keys=keys,
-        journal=SweepJournal(path, result_type=int), report=report,
+        journal=SweepJournal(path, family=squares), report=report,
     )
     assert first == [9, 25, 49]
     assert report.computed == 3
     resumed = parallel.FabricReport()
     second = parallel.run_jobs(
         payloads, _square, keys=keys,
-        journal=SweepJournal(path, result_type=int), report=resumed,
+        journal=SweepJournal(path, family=squares), report=resumed,
     )
     assert second == first
     assert resumed.computed == 0

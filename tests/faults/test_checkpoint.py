@@ -6,14 +6,13 @@ import json
 
 from repro.experiments import parallel
 from repro.experiments.checkpoint import (
-    JOURNAL_MAGIC,
     JOURNAL_VERSION,
     SweepJournal,
     default_journal_path,
-    sweep_digest,
 )
 from repro.experiments.parallel import (
     SCHEMA_VERSION,
+    SWEEP_JOBS,
     FabricReport,
     SessionSpec,
     cache_key,
@@ -101,40 +100,12 @@ def test_record_with_wrong_crc_is_skipped_on_resume(tmp_path):
     assert journal.skipped == 1
 
 
-def test_v1_journal_without_crcs_still_replays(tmp_path):
-    """Pre-CRC (version 1) journals written by earlier releases resume
-    as before: their records carry no crc field and are trusted."""
-    specs = [_spec(seed=s) for s in (1, 2)]
-    path = tmp_path / "sweep.journal"
-    results = run_sessions(
-        specs, cache=False, journal=SweepJournal(path, resume=False)
-    )
-
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = json.loads(lines[0])
-    header["version"] = 1
-    downgraded = [json.dumps(header)]
-    for line in lines[1:]:
-        entry = json.loads(line)
-        entry.pop("crc", None)
-        downgraded.append(json.dumps(entry))
-    path.write_text("\n".join(downgraded) + "\n", encoding="utf-8")
-
-    journal = SweepJournal(path)
-    entries = journal.begin()
-    journal.close()
-    assert entries == {
-        cache_key(spec): result for spec, result in zip(specs, results)
-    }
-    assert journal.skipped == 0
-
-
 def test_stale_schema_journal_is_discarded(tmp_path):
     """Results journaled under a different SCHEMA_VERSION are not
     comparable; the whole journal is dropped and rewritten fresh."""
     path = tmp_path / "sweep.journal"
     header = {
-        "journal": JOURNAL_MAGIC,
+        "journal": SWEEP_JOBS.magic,
         "version": JOURNAL_VERSION,
         "schema": SCHEMA_VERSION + 1,
     }
@@ -148,11 +119,31 @@ def test_stale_schema_journal_is_discarded(tmp_path):
     )
 
 
-def test_sweep_digest_names_the_grid_not_the_order(tmp_path):
-    specs = [_spec(seed=s) for s in (1, 2, 3)]
-    assert sweep_digest(specs) == sweep_digest(list(reversed(specs)))
-    assert sweep_digest(specs) != sweep_digest(specs[:2])
-    path = default_journal_path(specs, root=tmp_path)
-    assert path == default_journal_path(specs, root=tmp_path)
+def test_default_journal_path_names_the_grid_not_the_order(tmp_path):
+    keys = [cache_key(_spec(seed=s)) for s in (1, 2, 3)]
+    path = default_journal_path(SWEEP_JOBS, keys, root=tmp_path)
+    assert path == default_journal_path(
+        SWEEP_JOBS, list(reversed(keys)), root=tmp_path
+    )
+    assert path != default_journal_path(SWEEP_JOBS, keys[:2], root=tmp_path)
     assert path.suffix == ".journal"
     assert path.parent == tmp_path / "journals"
+    assert path.name.startswith("sweep-")
+
+
+def test_record_without_crc_is_skipped(tmp_path):
+    """Every record carries a CRC; one without it is not trusted."""
+    specs = [_spec(seed=s) for s in (1, 2)]
+    path = tmp_path / "sweep.journal"
+    run_sessions(specs, cache=False, journal=SweepJournal(path, resume=False))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    entry = json.loads(lines[1])
+    entry.pop("crc")
+    lines[1] = json.dumps(entry)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    journal = SweepJournal(path)
+    entries = journal.begin()
+    journal.close()
+    assert list(entries) == [cache_key(specs[1])]
+    assert journal.skipped == 1

@@ -16,7 +16,10 @@ import pytest
 
 from repro.experiments.parallel import ResultCache
 from repro.faults.injector import Fault, installed_plan
-from repro.storage import scrub
+from repro.storage import JobFamily, scrub
+
+#: Plain-dict payloads: the cache under test, not the session schema.
+DICTS = JobFamily("dicts", 1, dict)
 
 
 def readonly_plan(tmp_path, count=1):
@@ -28,7 +31,7 @@ def readonly_plan(tmp_path, count=1):
 
 
 def test_readonly_cache_degrades_to_uncached_with_one_warning(tmp_path):
-    store = ResultCache(tmp_path / "cache", result_type=dict)
+    store = ResultCache(tmp_path / "cache", DICTS)
     with readonly_plan(tmp_path, count=3):
         with pytest.warns(RuntimeWarning, match="falling back to uncached"):
             store.put("a" * 40, {"seed": 1})
@@ -45,12 +48,12 @@ def test_readonly_cache_degrades_to_uncached_with_one_warning(tmp_path):
 
 def test_readonly_store_recovers_on_a_writable_rerun(tmp_path):
     root = tmp_path / "cache"
-    crippled = ResultCache(root, result_type=dict)
+    crippled = ResultCache(root, DICTS)
     with readonly_plan(tmp_path):
         with pytest.warns(RuntimeWarning):
             crippled.put("c" * 40, {"seed": 3})
     # A fresh store over the same directory (next run) caches normally.
-    healthy = ResultCache(root, result_type=dict)
+    healthy = ResultCache(root, DICTS)
     healthy.put("c" * 40, {"seed": 3})
     assert healthy.get("c" * 40) == {"seed": 3}
     assert scrub([root]).clean
@@ -58,7 +61,7 @@ def test_readonly_store_recovers_on_a_writable_rerun(tmp_path):
 
 def test_enospc_leaves_no_partial_artifact_and_no_orphans(tmp_path):
     root = tmp_path / "cache"
-    store = ResultCache(root, result_type=dict)
+    store = ResultCache(root, DICTS)
     with installed_plan(
         [Fault(point="storage:result-cache", kind="enospc")],
         tmp_path / "ledger",

@@ -58,13 +58,15 @@ def test_missing_artifact_is_a_plain_miss(tmp_path):
     assert quarantine.count == 0
 
 
-def test_artifact_without_sidecar_is_a_legacy_read(tmp_path):
+def test_artifact_without_sidecar_is_a_plain_miss(tmp_path):
+    """A publish that died before its sidecar: a miss, left in place
+    (not quarantined) for the next publish to replace."""
     path, quarantine = make_store(tmp_path)
     sidecar_path(path).unlink()
-    data = verified_read(path, quarantine=quarantine)
-    assert data == PAYLOAD
-    assert quarantine.report.legacy_reads == 1
+    assert verified_read(path, quarantine=quarantine) is None
     assert quarantine.count == 0
+    assert quarantine.report.verified == 0
+    assert path.exists()
 
 
 def test_corrupt_artifact_is_quarantined_not_raised(tmp_path):

@@ -77,17 +77,31 @@ def test_checksum_mismatch_is_detected(tmp_path):
     assert not report.clean
 
 
-def test_legacy_artifact_is_informational_and_repair_derives_envelope(tmp_path):
+def test_artifact_without_sidecar_is_pruned_by_repair(tmp_path):
+    """An artifact whose sidecar never landed is an incomplete publish:
+    an integrity finding until ``--repair`` prunes it."""
     path = publish_enveloped(tmp_path)
     sidecar_path(path).unlink()
     report = scrub([tmp_path])
-    assert report.clean  # legacy is debt, not damage
-    assert report.stores[0].legacy == 1
+    assert problems(report) == ["missing-sidecar"]
+    assert not report.clean
 
-    scrub([tmp_path], repair=True)
-    after = scrub([tmp_path])
-    assert after.stores[0].verified == 1
-    assert after.stores[0].legacy == 0
+    repaired = scrub([tmp_path], repair=True)
+    assert repaired.clean
+    assert not path.exists()
+    assert not sidecar_path(path).exists()  # nothing was derived
+    assert scrub([tmp_path]).clean
+
+
+def test_journal_record_without_crc_is_a_finding(tmp_path):
+    journal = tmp_path / "sweep.journal"
+    journal.write_text(
+        json.dumps({"journal": "repro-sweep", "version": 2, "schema": 1})
+        + "\n" + json.dumps({"key": "k1", "result": "QUJD"}) + "\n"
+    )
+    report = scrub([tmp_path])
+    assert problems(report) == ["torn-journal-record"]
+    assert report.stores[0].journal_records == 0
 
 
 def test_quarantined_files_are_counted_not_scrubbed(tmp_path):
@@ -159,3 +173,31 @@ def test_fsck_cli_repair_then_clean(tmp_path, capsys):
 def test_fsck_cli_exit_2_on_missing_root(tmp_path, capsys):
     assert cli.main(["fsck", "--root", str(tmp_path / "nope")]) == 2
     assert "no such store root" in capsys.readouterr().err
+
+
+def test_record_trace_sweep_journal_is_scrubbed_as_a_journal(
+    tmp_path, monkeypatch, capsys
+):
+    """``repro sweep --record-trace`` keeps its default journal under
+    the family-prefixed ``.journal`` name, so fsck CRC-checks its
+    records and ``--repair`` never writes a sidecar beside it."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+    assert cli.main([
+        "sweep", "--devices", "nexus5", "--resolutions", "240p",
+        "--fps", "30", "--pressures", "normal", "--duration", "2",
+        "--reps", "1", "--record-trace", str(tmp_path / "traces"), "--json",
+    ]) == 0
+    capsys.readouterr()
+    [journal] = (cache / "journals").iterdir()
+    assert journal.name.startswith("trace-record-")
+    assert journal.suffix == ".journal"
+
+    report = scrub([cache])
+    assert report.clean
+    [store] = report.stores
+    assert store.journals == 1
+    assert store.journal_records == 1
+
+    assert scrub([cache], repair=True).clean
+    assert not sidecar_path(journal).exists()

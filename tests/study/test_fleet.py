@@ -26,10 +26,12 @@ from repro.study.export import (
     load_cohort_columns,
     save_cohort_columns,
 )
+from repro.experiments.checkpoint import default_journal_path
 from repro.study.fleet import (
+    FLEET_JOBS,
     CohortJob,
     cohort_job_key,
-    default_fleet_journal_path,
+    cohort_jobs,
     fleet_journal,
     run_fleet,
 )
@@ -146,9 +148,14 @@ def test_foreign_journal_is_discarded(tmp_path):
     assert result.report.resumed == 0
 
 
+def _default_fleet_journal_path(config, root):
+    keys = [cohort_job_key(job) for job in cohort_jobs(config)]
+    return default_journal_path(FLEET_JOBS, keys, root=root)
+
+
 def test_default_journal_path_is_config_addressed(tmp_path):
-    a = default_fleet_journal_path(CFG, root=tmp_path)
-    b = default_fleet_journal_path(
+    a = _default_fleet_journal_path(CFG, root=tmp_path)
+    b = _default_fleet_journal_path(
         FleetConfig(n_devices=12, hours_scale=0.02, seed=8, cohort_size=5),
         root=tmp_path,
     )

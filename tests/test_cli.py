@@ -113,6 +113,31 @@ def test_trace_record_skips_existing(tmp_path, capsys):
     assert again["already_recorded"] == 1
 
 
+def test_trace_analyze_interrupt_exits_130(tmp_path, capsys, monkeypatch):
+    from repro.trace import replay
+
+    store = str(tmp_path / "traces")
+    assert main([
+        "trace", "record", "--devices", "nexus5", "--pressures", "normal",
+        "--resolution", "240p", "--duration", "2", "--store", store,
+        "--no-cache", "--json",
+    ]) == 0
+    capsys.readouterr()
+
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(replay, "analyze_trace_path", interrupted)
+    journal = tmp_path / "analytics.journal"
+    code = main([
+        "trace", "analyze", "--store", store, "--journal", str(journal),
+    ])
+    assert code == 130
+    err = capsys.readouterr().err
+    assert "analysis interrupted: 0/1 jobs checkpointed" in err
+    assert str(journal) in err
+
+
 def test_run_record_trace_flag(tmp_path, capsys):
     store = str(tmp_path / "traces")
     code = main([
