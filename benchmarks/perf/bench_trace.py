@@ -61,7 +61,7 @@ def run(quick: bool = False) -> Dict[str, float]:
         def record_pair() -> None:
             for spec, key in zip(specs, keys):
                 _result, recorder = record_session_trace(spec)
-                store.save(key, recorder)
+                store.put(key, recorder)
 
         def resimulate_analyze_pair() -> None:
             for spec in specs:
@@ -70,7 +70,7 @@ def run(quick: bool = False) -> Dict[str, float]:
 
         def replay_analyze_pair() -> None:
             for key in keys:
-                trace = store.load(key)
+                trace = store.get(key)
                 assert trace is not None
                 analyze_view(trace)
 

@@ -16,130 +16,60 @@ whole target set, and recomputing them from cached facts is cheap.
 
 The entry key mixes in :data:`CACHE_VERSION` (bumped whenever rule
 logic or the facts schema changes shape) and the rule-id list, so stale
-formats and ``--rules`` subsets can never alias each other.  Entries
-are one JSON file each, published atomically through
-:mod:`repro.storage` with an **embedded** checksum envelope (JSON can
-carry its own header, so no sidecar file per entry)::
-
-    {"envelope": {"envelope": 1, "kind": "analysis-cache",
-                  "schema": "v1", "sha256": "<record digest>"},
-     "record": {...}}
-
-A corrupt, torn, or pre-envelope entry is quarantined (moved to
-``<cache dir>/quarantine/``, never deleted) and treated as a miss; a
-read-only or full cache directory degrades to uncached operation,
-counted in the store's :class:`~repro.storage.StorageReport`.
+formats and ``--rules`` subsets can never alias each other.  The cache
+is a :class:`~repro.storage.Store` with a JSON codec: one
+``<dir>/<key[:2]>/<key>.json`` per entry plus its checksum sidecar, so
+``repro fsck --root <dir>`` scrubs it like any other store.  A corrupt
+or torn entry is quarantined (moved to ``<dir>/quarantine/``, never
+deleted) and treated as a miss; a read-only or full cache directory
+degrades to uncached operation, counted in the store's
+:class:`~repro.storage.StorageReport`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import IO, Any, Dict, Sequence
 
-from ..storage import (
-    ENVELOPE_VERSION,
-    Quarantine,
-    StorageReport,
-    canonical_digest,
-    is_readonly_error,
-    publish_bytes,
-)
+from ..storage import Codec, Store, sha256_hex
 
 #: Bump when rule logic, the facts schema, or the record layout changes.
-CACHE_VERSION = 1
+#: 2: entries moved from an embedded envelope to a fanned-out store with
+#: checksum sidecars.
+CACHE_VERSION = 2
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = Path(".lint-cache")
 
-#: Envelope identity of analysis-cache entries.
-ENVELOPE_KIND = "analysis-cache"
-ENVELOPE_SCHEMA = f"v{CACHE_VERSION}"
-
-
-def content_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
 
 def entry_key(digest: str, rule_ids: Sequence[str]) -> str:
     """Cache key for one file's analysis under one rule set."""
-    blob = f"v{CACHE_VERSION}::{digest}::{','.join(rule_ids)}"
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256_hex(
+        f"v{CACHE_VERSION}::{digest}::{','.join(rule_ids)}".encode()
+    )
 
 
-class AnalysisCache:
-    """Directory of ``<key>.json`` analysis records."""
+def _write_record(fh: IO[bytes], record: Dict[str, Any]) -> None:
+    fh.write(json.dumps(record, sort_keys=True).encode("utf-8"))
+
+
+def _read_record(data: bytes) -> Dict[str, Any]:
+    record = json.loads(data.decode("utf-8"))
+    if not isinstance(record, dict):
+        raise ValueError("entry is not a JSON object")
+    return record
+
+
+class AnalysisCache(Store):
+    """Store of per-file analysis records (JSON), keyed by
+    :func:`entry_key`."""
 
     def __init__(self, directory: Path) -> None:
-        self.directory = directory
-        self.hits = 0
-        self.misses = 0
-        self.report = StorageReport()
-        self._q = Quarantine(
-            directory, label=f"analysis-cache at {directory}",
-            report=self.report,
+        super().__init__(
+            directory,
+            kind="analysis-cache",
+            schema=f"v{CACHE_VERSION}",
+            suffix=".json",
+            codec=Codec(write=_write_record, read=_read_record),
         )
-        self._disabled = False
-
-    def _entry_path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self._entry_path(key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            self.misses += 1
-            return None
-        try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError("entry is not a JSON object")
-            envelope = payload["envelope"]
-            record = payload["record"]
-            if (
-                not isinstance(envelope, dict)
-                or not isinstance(record, dict)
-                or envelope.get("envelope") != ENVELOPE_VERSION
-                or envelope.get("schema") != ENVELOPE_SCHEMA
-            ):
-                raise ValueError("missing or stale embedded envelope")
-            if envelope.get("sha256") != canonical_digest(record):
-                raise ValueError("record checksum mismatch")
-        except (KeyError, ValueError) as exc:
-            # Garbled, torn, or pre-envelope entry: quarantine it (a
-            # corruption bug stays inspectable) and recompute.
-            self._q.take(path, str(exc))
-            self.misses += 1
-            return None
-        self.report.verified += 1
-        self.hits += 1
-        return record
-
-    def store(self, key: str, record: Dict[str, Any]) -> None:
-        if self._disabled:
-            return
-        payload = {
-            "envelope": {
-                "envelope": ENVELOPE_VERSION,
-                "kind": ENVELOPE_KIND,
-                "schema": ENVELOPE_SCHEMA,
-                "sha256": canonical_digest(record),
-            },
-            "record": record,
-        }
-        try:
-            publish_bytes(
-                self._entry_path(key),
-                json.dumps(payload, sort_keys=True).encode("utf-8"),
-                surface=ENVELOPE_KIND,
-                report=self.report,
-            )
-        except OSError as exc:
-            # A read-only or full disk degrades to uncached operation;
-            # the atomic writer guarantees nothing partial was left.
-            self.report.publish_errors += 1
-            if is_readonly_error(exc):
-                self._disabled = True
-                self.report.readonly_fallbacks += 1

@@ -28,14 +28,14 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..storage import publish_bytes
+from ..storage import publish_bytes, sha256_hex
 from .baseline import (
     DEFAULT_BASELINE,
     load_baseline,
     split_baselined,
     update_baseline,
 )
-from .cache import DEFAULT_CACHE_DIR, AnalysisCache, content_digest, entry_key
+from .cache import DEFAULT_CACHE_DIR, AnalysisCache, entry_key
 from .engine import (
     FileAnalysis,
     LintResult,
@@ -189,11 +189,11 @@ def run_lint(
         key = None
         if cache is not None:
             try:
-                key = entry_key(content_digest(path.read_bytes()), rule_ids)
+                key = entry_key(sha256_hex(path.read_bytes()), rule_ids)
             except OSError:
                 key = None
             if key is not None:
-                record = cache.load(key)
+                record = cache.get(key)
                 if record is not None and record.get("rel") == rel:
                     analyses.append(FileAnalysis.from_dict(record))
                     continue
@@ -213,7 +213,7 @@ def run_lint(
     for (_, rel), record in zip(misses, records):
         analyses.append(FileAnalysis.from_dict(record))
         if cache is not None and rel in miss_keys:
-            cache.store(miss_keys[rel], record)
+            cache.put(miss_keys[rel], record)
 
     findings, suppressed = finish_run(analyses, rules)
     if report_rels is not None:

@@ -830,7 +830,8 @@ BANNED_FIELD_TYPES = frozenset({
     "NamedTemporaryFile", "Popen", "Thread", "Lock", "RLock",
     "Condition", "Semaphore", "BoundedSemaphore", "Barrier", "Queue",
     "socket", "ProcessPoolExecutor", "ThreadPoolExecutor", "Executor",
-    "Future", "SweepJournal", "ResultCache", "Generator", "Iterator",
+    "Future", "SweepJournal", "ResultCache", "Store", "Generator",
+    "Iterator",
 })
 
 #: Typing scaffolding that never names a payload class.

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import IO, Dict, List, Optional, Sequence, Tuple
 
 from ..storage import (
     StorageReport,
     canonical_digest,
-    publish_bytes,
-    write_sidecar,
+    publish_artifact,
 )
 from .driver import ARENA_SCHEMA_VERSION, ArenaConfig, ArenaRecord
 from .policies import get_policy
@@ -183,32 +182,28 @@ def write_artifact(
     mean re-running the same configuration overwrites the same files
     with the same bytes, and different configurations never collide.
 
-    Both files go through the atomic publish discipline: a crash
-    mid-write can no longer leave a half-written artifact whose
-    filename claims a digest it doesn't hash to.  The JSON carries a
-    checksum envelope sidecar on top of its embedded self-digest, so
-    ``repro fsck`` can verify a published leaderboard without knowing
-    the arena payload format.
+    Both files go through :func:`~repro.storage.publish_artifact`: a
+    crash mid-write cannot leave a half-written artifact whose filename
+    claims a digest it doesn't hash to, and each carries a checksum
+    sidecar, so ``repro fsck`` verifies a published leaderboard without
+    knowing the arena payload format.
     """
     out = Path(out_dir)
     stem = f"leaderboard-{str(leaderboard['digest'])[:16]}"
     json_path = out / f"{stem}.json"
     txt_path = out / f"{stem}.txt"
-    data = artifact_bytes(leaderboard)
-    digest = publish_bytes(
-        json_path, data, surface="leaderboard", report=report
-    )
-    write_sidecar(
-        json_path,
-        kind="arena-leaderboard",
-        schema=f"v{ARENA_SCHEMA_VERSION}",
-        digest=digest,
-        size=len(data),
-    )
-    publish_bytes(
-        txt_path,
-        render_table(leaderboard).encode("utf-8"),
-        surface="leaderboard",
-        report=report,
-    )
+    _publish(json_path, artifact_bytes(leaderboard), report)
+    _publish(txt_path, render_table(leaderboard).encode("utf-8"), report)
     return json_path, txt_path
+
+
+def _publish(
+    path: Path, data: bytes, report: Optional[StorageReport]
+) -> None:
+    def fill(fh: IO[bytes]) -> None:
+        fh.write(data)
+
+    publish_artifact(
+        path, fill, kind="leaderboard",
+        schema=f"v{ARENA_SCHEMA_VERSION}", report=report,
+    )

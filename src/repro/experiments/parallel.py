@@ -63,9 +63,11 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import (
+    IO,
     TYPE_CHECKING,
     Any,
     Callable,
@@ -79,16 +81,7 @@ from typing import (
 
 from ..core.session import StreamingSession
 from ..faults import active_plan
-from ..storage import (
-    JobFamily,
-    Quarantine,
-    StorageReport,
-    canonical_digest,
-    is_readonly_error,
-    publish_bytes,
-    verified_read,
-    write_sidecar,
-)
+from ..storage import Codec, JobFamily, Store, canonical_digest
 from ..video.encoding import VideoAsset
 from ..video.player import SessionResult
 
@@ -116,11 +109,6 @@ SEED_STRIDE = 7919
 #: Environment overrides: cache directory, and a global kill switch.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_DISABLE_ENV = "REPRO_NO_CACHE"
-
-#: Subdirectory of the cache root where corrupt entries are moved for
-#: post-mortem inspection instead of being deleted.
-QUARANTINE_DIR = "quarantine"
-
 
 class JobFailedError(RuntimeError):
     """A session job kept failing after every retry attempt."""
@@ -290,110 +278,41 @@ def cache_key(spec: SessionSpec) -> str:
     return canonical_digest(material)
 
 
-class ResultCache:
+def _write_pickle(fh: IO[bytes], result: Any) -> None:
+    fh.write(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _read_payload(payload: type, data: bytes) -> Any:
+    result = pickle.loads(data)
+    if not isinstance(result, payload):
+        raise TypeError(
+            f"not a {payload.__name__}: {type(result).__name__}"
+        )
+    return result
+
+
+class ResultCache(Store):
     """Content-addressed pickle store for one job family's results.
 
-    Layout: ``<root>/<key[:2]>/<key>.pkl`` (two-level fan-out keeps
-    directory listings sane at millions of entries).  Writes are atomic
-    (temp file + rename), so concurrent runs sharing a cache directory
-    can only ever observe complete entries.  Unreadable or wrong-typed
-    entries are treated as misses and **quarantined** to
-    ``<root>/quarantine/`` — moved, not deleted, so a corruption bug
-    stays inspectable — with a single warning per cache instance; the
-    affected job simply re-runs.
+    Layout: ``<root>/<key[:2]>/<key>.pkl`` plus checksum sidecars (see
+    :class:`~repro.storage.Store`).  A corrupt entry, or one holding
+    another payload type or schema, is quarantined and read as a miss,
+    so the affected job simply re-runs.
     """
 
     def __init__(
-        self,
-        root: Path | str,
-        family: JobFamily = SWEEP_JOBS,
-        *,
-        surface: str = "result-cache",
+        self, root: Path | str, family: JobFamily = SWEEP_JOBS
     ) -> None:
-        self.root = Path(root)
-        #: Entry payload type accepted on read: a foreign entry is
-        #: quarantined, not replayed.
-        self.result_type = family.payload
-        #: Storage fault point (``storage:<surface>``) and envelope kind.
-        self.surface = surface
-        #: Envelope schema tag: entries written under a different result
-        #: schema or payload type are quarantined on read, not replayed.
-        self.schema = f"v{family.schema}/{family.payload.__name__}"
-        self.hits = 0
-        self.misses = 0
-        self.report = StorageReport()
-        self._q = Quarantine(
-            self.root, label=f"{surface} at {self.root}", report=self.report
+        super().__init__(
+            root,
+            kind="result-cache",
+            schema=f"v{family.schema}/{family.payload.__name__}",
+            suffix=".pkl",
+            codec=Codec(
+                write=_write_pickle,
+                read=partial(_read_payload, family.payload),
+            ),
         )
-        self._disabled = False
-
-    @property
-    def quarantined(self) -> int:
-        """Corrupt entries moved to quarantine by this cache instance."""
-        return self.report.quarantined
-
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
-    def get(self, key: str) -> Optional[Any]:
-        path = self.path_for(key)
-        data = verified_read(
-            path, quarantine=self._q, expected_schema=self.schema
-        )
-        if data is None:
-            self.misses += 1
-            return None
-        try:
-            result = pickle.loads(data)
-        except Exception as exc:
-            # Checksum-clean bytes that still fail to unpickle were
-            # written by an incompatible version:
-            # quarantine the entry and recompute.
-            self._q.take(path, repr(exc))
-            self.misses += 1
-            return None
-        if not isinstance(result, self.result_type):
-            self._q.take(
-                path,
-                f"not a {self.result_type.__name__}: {type(result).__name__}",
-            )
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def put(self, key: str, result: Any) -> None:
-        if self._disabled:
-            return
-        path = self.path_for(key)
-        data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            digest = publish_bytes(
-                path, data, surface=self.surface, report=self.report
-            )
-            write_sidecar(
-                path,
-                kind=self.surface,
-                schema=self.schema,
-                digest=digest,
-                size=len(data),
-            )
-        except OSError as exc:
-            # Caching is an optimization; never fail the experiment
-            # over a full disk or read-only cache directory.  The
-            # atomic writer guarantees the failed publish left nothing
-            # behind, so there is no partial artifact to clean up.
-            self.report.publish_errors += 1
-            if is_readonly_error(exc):
-                self._disabled = True
-                self.report.readonly_fallbacks += 1
-                warnings.warn(
-                    f"cache directory {self.root} is not writable "
-                    f"({exc}); falling back to uncached operation "
-                    "(warned once per cache)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
 
 
 def default_cache_dir() -> Path:
@@ -752,10 +671,18 @@ class JobCache(Protocol):
     def put(self, key: str, result: Any) -> None: ...
 
 
-#: What a :class:`JobCache` returns for a job that is done but whose
-#: result it does not hold (a stored trace whose session result has
-#: left the cache): a hit whose slot stays ``None`` and is not journaled.
-NO_RESULT: Any = object()
+class _NoResult:
+    def __reduce__(self) -> str:
+        # Unpickles as the module's singleton, so a worker's NO_RESULT
+        # is still ``NO_RESULT`` in the supervisor.
+        return "NO_RESULT"
+
+
+#: A job outcome with no result: a :class:`JobCache` hit it does not
+#: hold (a stored trace whose session result has left the cache), or a
+#: job whose input turned out corrupt.  Its slot stays ``None`` and it
+#: is neither journaled nor cached.
+NO_RESULT: Any = _NoResult()
 
 
 def run_jobs(

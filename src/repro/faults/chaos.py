@@ -79,7 +79,7 @@ from ..experiments.parallel import (
     run_sessions,
 )
 from ..experiments.runner import cell_specs
-from ..storage import scrub
+from ..storage import QUARANTINE_DIR, scrub
 from ..video.player import SessionResult
 from .injector import Fault, installed_plan
 
@@ -305,7 +305,7 @@ class ChaosHarness:
                 self.specs, jobs=self.jobs, cache=store, report=report
             )
         quarantine = sorted(
-            p.name for p in (root / "quarantine").glob("*.pkl")
+            p.name for p in (root / QUARANTINE_DIR).glob("*.pkl")
         )
         return self._verdict(
             "corrupt", results_digest(results), report,

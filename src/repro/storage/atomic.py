@@ -163,7 +163,6 @@ def publish_via(
     fill: Callable[[IO[bytes]], None],
     *,
     surface: Optional[str] = None,
-    do_fsync: bool = True,
     report: Optional[StorageReport] = None,
 ) -> str:
     """Publish whatever ``fill`` writes into a staged handle; returns
@@ -189,8 +188,7 @@ def publish_via(
         with os.fdopen(fd, "wb") as fh:
             fill(fh)
             fh.flush()
-            if do_fsync:
-                os.fsync(fh.fileno())
+            os.fsync(fh.fileno())
         assert tmp is not None
         digest = _file_sha256(tmp)
         fault = claim_storage_fault(surface)
@@ -220,8 +218,7 @@ def publish_via(
                 os.fsync(torn.fileno())
         os.replace(tmp_name, path)
         tmp = None
-        if do_fsync:
-            fsync_dir(path.parent)
+        fsync_dir(path.parent)
         if fault == "bitrot":
             _flip_byte(path)
         prune_stale_tmp(path, report)
@@ -239,13 +236,12 @@ def publish_bytes(
     data: bytes,
     *,
     surface: Optional[str] = None,
-    do_fsync: bool = True,
     report: Optional[StorageReport] = None,
 ) -> str:
     """Atomically publish ``data`` at ``path``; returns its SHA-256."""
     return publish_via(
         path, lambda fh: fh.write(data) and None,  # type: ignore[func-returns-value]
-        surface=surface, do_fsync=do_fsync, report=report,
+        surface=surface, report=report,
     )
 
 

@@ -30,9 +30,9 @@ import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import IO, Any, Callable, Dict, Optional, Union
 
-from .atomic import StorageReport, publish_bytes
+from .atomic import StorageReport, publish_bytes, publish_via
 
 #: Version of the sidecar format itself (not of the artifact's schema).
 ENVELOPE_VERSION = 1
@@ -146,6 +146,31 @@ def write_sidecar(
         json.dumps(envelope.to_payload(), sort_keys=True).encode("utf-8"),
     )
     return path
+
+
+def publish_artifact(
+    path: Union[str, Path],
+    fill: Callable[[IO[bytes]], None],
+    *,
+    kind: str,
+    schema: str,
+    report: Optional[StorageReport] = None,
+) -> str:
+    """Publish an artifact and then its sidecar; returns its SHA-256.
+
+    The one way an enveloped artifact reaches disk: ``fill`` streams
+    the payload into a staged handle (:func:`publish_via`), ``kind`` is
+    both the envelope kind and the fault surface (``storage:<kind>``),
+    and ``schema`` is the tag :func:`verified_read` checks.  A failed
+    publish raises and leaves no sidecar behind.
+    """
+    path = Path(path)
+    digest = publish_via(path, fill, surface=kind, report=report)
+    write_sidecar(
+        path, kind=kind, schema=schema, digest=digest,
+        size=path.stat().st_size,
+    )
+    return digest
 
 
 def read_sidecar(artifact: Union[str, Path]) -> Optional[Envelope]:

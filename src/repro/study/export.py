@@ -27,7 +27,7 @@ from typing import IO, TYPE_CHECKING, Iterator, List, Optional, Union
 
 import numpy as np
 
-from ..storage import StorageReport, publish_via, write_sidecar
+from ..storage import StorageReport, publish_artifact
 from .signalcapturer import DeviceInfo, DeviceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -86,13 +86,9 @@ def save_device_log(
             fh.flush()
             fh.detach()
 
-    digest = publish_via(path, fill, surface="study-export")
-    write_sidecar(
-        path,
-        kind="study-export",
+    publish_artifact(
+        path, fill, kind="study-export",
         schema=f"v{FORMAT_VERSION}/device-log",
-        digest=digest,
-        size=path.stat().st_size,
     )
     return path
 
@@ -211,13 +207,9 @@ def save_cohort_columns(
     def fill(fh: IO[bytes]) -> None:
         np.savez_compressed(fh, **arrays)
 
-    digest = publish_via(path, fill, surface="study-export", report=report)
-    write_sidecar(
-        path,
-        kind="study-export",
-        schema=f"v{COHORT_FORMAT_VERSION}/cohort-columns",
-        digest=digest,
-        size=path.stat().st_size,
+    publish_artifact(
+        path, fill, kind="study-export",
+        schema=f"v{COHORT_FORMAT_VERSION}/cohort-columns", report=report,
     )
     return path
 

@@ -30,7 +30,6 @@ from .store import (
     ReplayTrace,
     TraceFormatError,
     TraceStore,
-    iter_traces,
     load_trace,
     save_trace,
     trace_digest,
@@ -50,7 +49,6 @@ __all__ = [
     "analyze_store",
     "analyze_view",
     "cpu_utilization_series",
-    "iter_traces",
     "load_trace",
     "migration_counts",
     "preemption_stats",

@@ -20,7 +20,8 @@ split for the simulator:
   re-simulating anything**.
 
 Replay jobs are embarrassingly parallel and their payloads are plain
-paths, so jobs=1 and jobs=N produce byte-identical analytics.
+``(store root, key)`` pairs, so jobs=1 and jobs=N produce
+byte-identical analytics.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def record_session_trace(
     bus, so the returned :class:`SessionResult` is bit-identical to an
     untraced run of the same spec (golden-locked).  The recorder covers
     the whole run (pressure ramp included) and comes back detached,
-    ready for :meth:`~repro.trace.store.TraceStore.save`.
+    ready for :meth:`~repro.trace.store.TraceStore.put`.
     """
     from ..core.session import DEVICE_FACTORIES, StreamingSession
 
@@ -226,7 +227,7 @@ def record_trace_job(job: TraceRecordJob) -> SessionResult:
     spec = job.spec
     result, recorder = record_session_trace(spec)
     session_key = cache_key(spec)
-    TraceStore(job.store_root).save(
+    TraceStore(job.store_root).put(
         trace_key(session_key),
         recorder,
         meta={
@@ -328,11 +329,19 @@ def record_traces(
 # Replay: parallel analytics over stored traces, no re-simulation
 # ======================================================================
 
-def analyze_trace_path(path: str) -> TraceAnalytics:
-    """Load one stored trace and run the §5 queries (worker entry point)."""
-    from .store import load_trace
+def analyze_trace_path(job: Tuple[str, str]) -> Any:
+    """Verify and load one stored trace, then run the §5 queries
+    (worker entry point; ``job`` is ``(store root, trace key)``).
 
-    return analyze_view(load_trace(path))
+    A trace that fails verification is quarantined by the store and
+    yields ``NO_RESULT``: it is neither retried nor journaled, so a
+    later re-record under the same key is analyzed on resume.
+    """
+    from ..experiments.parallel import NO_RESULT
+
+    root, key = job
+    trace = TraceStore(root).get(key)
+    return NO_RESULT if trace is None else analyze_view(trace)
 
 
 def analyze_store(
@@ -346,16 +355,17 @@ def analyze_store(
     """Replay-analyze stored traces in parallel; returns key → analytics.
 
     One job per trace on the generic fabric (``keys`` defaults to every
-    trace in the store, sorted).  A job's payload is just the trace
-    path, its journal key is ``analytics:<trace key>``, and the queries
-    are pure functions of the file's contents — so resumed, serial, and
-    parallel runs are byte-identical.
+    trace in the store, sorted).  A job's journal key is
+    ``analytics:<trace key>`` and the queries are pure functions of the
+    verified trace, so resumed, serial, and parallel runs are
+    byte-identical.  A corrupt trace is quarantined and left out of
+    the result.
     """
     from ..experiments.parallel import run_jobs
 
     trace_keys = list(keys) if keys is not None else store.keys()
     analytics = run_jobs(
-        [str(store.path_for(key)) for key in trace_keys],
+        [(str(store.root), key) for key in trace_keys],
         analyze_trace_path,
         keys=[f"analytics:{key}" for key in trace_keys],
         jobs=jobs,

@@ -12,11 +12,11 @@ tracks, written atomically like the cohort exporter — and
 re-simulating**, bit-identical to the live recorder.
 
 Traces are content-addressed by ``(session spec digest, trace schema
-version)`` via :func:`trace_key`, extending the result cache's
-machinery: a :class:`TraceStore` lays files out exactly like
-:class:`~repro.experiments.parallel.ResultCache` (two-level fan-out,
-atomic writes, corrupt entries quarantined — moved, never deleted) and
-the golden-digest suite locks the format with :func:`trace_digest`.
+version)`` via :func:`trace_key`, and a :class:`TraceStore` is the same
+:class:`~repro.storage.Store` as the result cache (two-level fan-out,
+atomic writes, verified reads, corrupt entries quarantined — moved,
+never deleted); the golden-digest suite locks the format with
+:func:`trace_digest`.
 
 Format (schema-versioned; a mismatch on load is an error, not a guess):
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import warnings
 from pathlib import Path
 from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -47,13 +46,11 @@ import numpy as np
 from ..sched.states import ThreadState
 from ..sim.clock import Time
 from ..storage import (
-    Quarantine,
+    Codec,
     StorageReport,
+    Store,
     canonical_digest,
-    publish_via,
-    sidecar_path,
-    verified_read,
-    write_sidecar,
+    publish_artifact,
 )
 from .view import Preemption, TraceView, Transition
 
@@ -63,10 +60,6 @@ TRACE_SCHEMA_VERSION = 1
 
 #: Environment override for the default trace-store directory.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
-
-#: Subdirectory where corrupt trace files are moved for post-mortem
-#: inspection (mirrors the result cache's quarantine contract).
-QUARANTINE_DIR = "quarantine"
 
 #: File suffix of stored traces.
 TRACE_SUFFIX = ".trace.npz"
@@ -199,8 +192,15 @@ def _columns_from_view(
     return columns
 
 
+#: Envelope kind (and storage fault point) of stored traces.
+TRACE_KIND = "trace-store"
+
 #: Envelope schema tag stored in every trace sidecar.
 TRACE_ENVELOPE_SCHEMA = f"v{TRACE_SCHEMA_VERSION}/trace"
+
+
+def _write_columns(fh: IO[bytes], columns: Dict[str, np.ndarray]) -> None:
+    np.savez_compressed(fh, **columns)
 
 
 def save_trace(
@@ -212,24 +212,20 @@ def save_trace(
 ) -> Path:
     """Write one trace as compressed npz column groups (atomic).
 
-    Publishes through :mod:`repro.storage` (tmp + fsync + ``os.replace``
-    + directory fsync), so a killed recorder never leaves a half-written
-    trace for replay, and records a checksum envelope sidecar so a torn
-    or bit-rotted trace is quarantined on read, never analyzed.
+    Publishes through :func:`~repro.storage.publish_artifact` (tmp +
+    fsync + ``os.replace`` + directory fsync, then a checksum sidecar),
+    so a killed recorder never leaves a half-written trace for replay
+    and a torn or bit-rotted trace is quarantined on read, never
+    analyzed.  A failed publish raises.
     """
     path = Path(path)
     columns = _columns_from_view(view, meta)
-
-    def fill(fh: IO[bytes]) -> None:
-        np.savez_compressed(fh, **columns)
-
-    digest = publish_via(path, fill, surface="trace-store", report=report)
-    write_sidecar(
+    publish_artifact(
         path,
-        kind="trace-store",
+        lambda fh: _write_columns(fh, columns),
+        kind=TRACE_KIND,
         schema=TRACE_ENVELOPE_SCHEMA,
-        digest=digest,
-        size=path.stat().st_size,
+        report=report,
     )
     return path
 
@@ -310,8 +306,8 @@ def load_trace(path: Union[str, Path]) -> ReplayTrace:
     """Read a trace written by :func:`save_trace`.
 
     Raises :class:`TraceFormatError` for truncated, corrupt, or
-    wrong-schema files — callers that must not die on bad input (the
-    :class:`TraceStore`) catch it and quarantine.
+    wrong-schema files.  Reads of a :class:`TraceStore` go through its
+    checksum-verified :meth:`TraceStore.get` instead.
     """
     path = Path(path)
     return _load_trace_source(path, label=str(path))
@@ -388,23 +384,6 @@ def _replay_from_columns(data: Any) -> ReplayTrace:
     )
 
 
-def iter_traces(
-    directory: Union[str, Path]
-) -> Iterator[Tuple[Path, ReplayTrace]]:
-    """Stream every readable trace under ``directory`` in path order.
-
-    Unreadable files are skipped (with a warning), not fatal: one
-    corrupt trace must not hide the rest of a recording campaign.
-    """
-    for path in sorted(Path(directory).rglob(f"*{TRACE_SUFFIX}")):
-        if QUARANTINE_DIR in path.parts:
-            continue
-        try:
-            yield path, load_trace(path)
-        except TraceFormatError as exc:
-            warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
-
-
 # ======================================================================
 # Content digest (golden machinery)
 # ======================================================================
@@ -454,73 +433,40 @@ def trace_digest(view: TraceView) -> Dict[str, object]:
 # Content-addressed store
 # ======================================================================
 
-class TraceStore:
-    """Content-addressed trace files with quarantine, mirroring
-    :class:`~repro.experiments.parallel.ResultCache`.
+class TraceStore(Store):
+    """Content-addressed trace files: a :class:`~repro.storage.Store`
+    with the npz codec, at ``<root>/<key[:2]>/<key>.trace.npz``.
 
-    Layout: ``<root>/<key[:2]>/<key>.trace.npz``.  Writes are atomic;
-    unreadable entries are **quarantined** to ``<root>/quarantine/``
-    (moved, not deleted, so a corruption bug stays inspectable) with a
-    single warning per store instance, and ``load`` reports them as
-    missing so the affected trace is simply re-recorded.
+    A corrupt trace is quarantined and reads as missing, so the
+    affected session is simply re-recorded.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self.report = StorageReport()
-        self._q = Quarantine(
-            self.root, label=f"trace-store at {self.root}", report=self.report
+        super().__init__(
+            root,
+            kind=TRACE_KIND,
+            schema=TRACE_ENVELOPE_SCHEMA,
+            suffix=TRACE_SUFFIX,
+            codec=Codec(write=_write_columns, read=load_trace_bytes),
         )
 
-    @property
-    def quarantined(self) -> int:
-        """Corrupt traces moved to quarantine by this store instance."""
-        return self.report.quarantined
-
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}{TRACE_SUFFIX}"
-
-    def contains(self, key: str) -> bool:
-        """True once the trace and its sidecar are both published."""
-        path = self.path_for(key)
-        return path.exists() and sidecar_path(path).exists()
-
-    def save(
+    def put(
         self,
         key: str,
-        view: TraceView,
+        value: TraceView,
         meta: Optional[Dict[str, Any]] = None,
-    ) -> Path:
-        return save_trace(view, self.path_for(key), meta, report=self.report)
+    ) -> None:
+        """Store one trace through :func:`save_trace`.
 
-    def load(self, key: str) -> Optional[ReplayTrace]:
-        path = self.path_for(key)
-        data = verified_read(
-            path, quarantine=self._q, expected_schema=TRACE_ENVELOPE_SCHEMA
-        )
-        if data is None:
-            return None
-        try:
-            return load_trace_bytes(data, label=str(path))
-        except TraceFormatError as exc:
-            # Checksum-clean bytes that still fail to decode:
-            # quarantine and treat as missing so the affected trace is
-            # re-recorded.
-            self._q.take(path, str(exc))
-            return None
-
-    def keys(self) -> List[str]:
-        """Every stored trace key, sorted (quarantine excluded)."""
-        return sorted(
-            path.name[: -len(TRACE_SUFFIX)]
-            for path in self.root.rglob(f"*{TRACE_SUFFIX}")
-            if QUARANTINE_DIR not in path.parts
-        )
+        Unlike a cache put, a failed publish raises: a trace is its
+        record job's output, so the job fails and the fabric retries it.
+        """
+        save_trace(value, self.path_for(key), meta, report=self.report)
 
     def iter_traces(self) -> Iterator[Tuple[str, ReplayTrace]]:
         """Stream (key, trace) pairs; corrupt entries are quarantined
         and skipped."""
         for key in self.keys():
-            trace = self.load(key)
+            trace = self.get(key)
             if trace is not None:
                 yield key, trace

@@ -13,6 +13,7 @@ from repro.analysis.baseline import (
     update_baseline,
     write_baseline,
 )
+from repro.analysis.cache import AnalysisCache
 from repro.analysis.cli import main, run_lint
 from repro.analysis.engine import Finding
 from repro.analysis.reporters import render_json, render_sarif
@@ -91,7 +92,10 @@ def test_cache_is_keyed_on_rule_set(tmp_path):
 def test_corrupt_cache_entry_degrades_to_miss(tmp_path):
     cache_dir = tmp_path / "cache"
     first = lint(cache_dir=cache_dir)
-    for entry in cache_dir.glob("*.json"):
+    cache = AnalysisCache(cache_dir)
+    entries = [cache.path_for(key) for key in cache.keys()]
+    assert entries  # the corruption below must not be vacuous
+    for entry in entries:
         entry.write_text("{not json")
     again = lint(cache_dir=cache_dir)
     assert again.files_cached == 0

@@ -7,6 +7,7 @@ import pytest
 from repro import cli
 from repro.arena import ArenaConfig, arena_job_key, arena_jobs
 from repro.faults.injector import Fault, installed_plan
+from repro.storage import scrub
 
 SMOKE = [
     "arena",
@@ -64,6 +65,20 @@ def test_arena_out_writes_digest_named_artifact(tmp_path, capsys):
     payload = json.loads(json_files[0].read_text())
     # The file is named after the payload's own content address.
     assert json_files[0].name == f"leaderboard-{payload['digest'][:16]}.json"
+
+
+def test_arena_out_artifacts_pass_fsck(tmp_path, capsys):
+    """Both published files carry a sidecar: fsck is clean, and
+    ``--repair`` has no debris to prune."""
+    out_dir = tmp_path / "artifacts"
+    assert run_cli(SMOKE, tmp_path, ["--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert scrub([out_dir]).clean
+    before = sorted(p.name for p in out_dir.iterdir())
+    assert scrub([out_dir], repair=True).clean
+    assert sorted(p.name for p in out_dir.iterdir()) == before
+    assert len(list(out_dir.glob("leaderboard-*.txt"))) == 1
+    assert len(list(out_dir.glob("leaderboard-*[0-9a-f].json"))) == 1
 
 
 def test_arena_rejects_unknown_policy(tmp_path, capsys):

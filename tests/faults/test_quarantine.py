@@ -5,13 +5,13 @@ from __future__ import annotations
 import warnings
 
 from repro.experiments.parallel import (
-    QUARANTINE_DIR,
     FabricReport,
     ResultCache,
     SessionSpec,
     cache_key,
     run_sessions,
 )
+from repro.storage import QUARANTINE_DIR
 
 
 def _spec(seed=7, **overrides):

@@ -16,10 +16,9 @@ import pytest
 
 from repro.experiments.parallel import ResultCache
 from repro.faults.injector import Fault, installed_plan
-from repro.storage import JobFamily, scrub
+from repro.storage import scrub
 
-#: Plain-dict payloads: the cache under test, not the session schema.
-DICTS = JobFamily("dicts", 1, dict)
+from . import DICTS, KEYS, STORES
 
 
 def readonly_plan(tmp_path, count=1):
@@ -77,3 +76,51 @@ def test_enospc_leaves_no_partial_artifact_and_no_orphans(tmp_path):
     # The disk "drained"; the same store publishes fine afterwards.
     store.put("d" * 40, {"seed": 4})
     assert store.get("d" * 40) == {"seed": 4}
+
+
+# ----------------------------------------------------------------------
+# The same contract through each store: result, trace and lint caches
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+def test_store_puts_scrub_clean(tmp_path, kind):
+    case = STORES[kind]
+    store = case.make(tmp_path / "store")
+    for key in KEYS:
+        store.put(key, case.value)
+    report = scrub([tmp_path / "store"])
+    assert report.clean
+    assert report.stores[0].verified == len(KEYS)
+    assert scrub([tmp_path / "store"], repair=True).clean
+    assert store.keys() == sorted(KEYS)
+
+
+@pytest.mark.parametrize("kind", ["analysis-cache", "result-cache"])
+def test_readonly_cache_store_degrades_with_one_warning(tmp_path, kind):
+    case = STORES[kind]
+    store = case.make(tmp_path / "store")
+    faults = [Fault(point=f"storage:{kind}", kind="readonly")] * 2
+    with installed_plan(faults, tmp_path / "ledger"):
+        with pytest.warns(RuntimeWarning, match="falling back to uncached"):
+            store.put(KEYS[0], case.value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a second warning would raise
+            store.put(KEYS[1], case.value)  # disabled: silently skipped
+    assert store.report.readonly_fallbacks == 1
+    assert store.get(KEYS[0]) is None
+    assert store.keys() == []
+
+
+def test_readonly_trace_store_put_raises(tmp_path):
+    case = STORES["trace-store"]
+    store = case.make(tmp_path / "store")
+    with installed_plan(
+        [Fault(point="storage:trace-store", kind="readonly")],
+        tmp_path / "ledger",
+    ):
+        with pytest.raises(PermissionError):
+            store.put(KEYS[0], case.value)
+    assert not store.contains(KEYS[0])
+    # The store stays enabled: the retried put publishes.
+    store.put(KEYS[0], case.value)
+    assert case.same(store.get(KEYS[0]), case.value)

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from repro.storage import (
+    QUARANTINE_DIR,
     Envelope,
     IntegrityError,
     Quarantine,
@@ -18,6 +19,8 @@ from repro.storage import (
     verified_read,
     write_sidecar,
 )
+
+from . import KEYS, STORES
 
 PAYLOAD = b"eight hundred frames of 240p video"
 
@@ -124,3 +127,54 @@ def test_unsupported_envelope_version_is_integrity_error(tmp_path):
     sidecar_path(path).write_text(json.dumps(payload))
     with pytest.raises(IntegrityError, match="unsupported envelope"):
         read_sidecar(path)
+
+
+# ----------------------------------------------------------------------
+# The same contract through each store: result, trace and lint caches
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+def test_store_roundtrip(tmp_path, kind):
+    case = STORES[kind]
+    store = case.make(tmp_path)
+    assert store.get(KEYS[0]) is None and not store.contains(KEYS[0])
+    store.put(KEYS[0], case.value)
+    assert store.contains(KEYS[0])
+    assert store.keys() == [KEYS[0]]
+    assert case.same(store.get(KEYS[0]), case.value)
+    assert store.report.verified == 1
+    assert store.quarantined == 0
+
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+def test_store_corrupt_entry_is_quarantined_as_a_miss(tmp_path, kind):
+    case = STORES[kind]
+    store = case.make(tmp_path)
+    for key in KEYS[:2]:
+        store.put(key, case.value)
+        path = store.path_for(key)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert store.get(KEYS[0]) is None
+        assert store.get(KEYS[1]) is None
+    assert [str(w.message) for w in caught if "quarantined" in str(w.message)]
+    assert len(caught) == 1  # one warning per store, not per entry
+    assert store.quarantined == 2
+    assert store.keys() == []
+    names = {p.name for p in (tmp_path / QUARANTINE_DIR).iterdir()}
+    assert store.path_for(KEYS[0]).name in names
+
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+def test_store_entry_without_sidecar_is_a_miss(tmp_path, kind):
+    case = STORES[kind]
+    store = case.make(tmp_path)
+    store.put(KEYS[0], case.value)
+    sidecar_path(store.path_for(KEYS[0])).unlink()
+    assert not store.contains(KEYS[0])
+    assert store.get(KEYS[0]) is None
+    assert store.quarantined == 0
+    assert store.path_for(KEYS[0]).exists()

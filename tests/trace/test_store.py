@@ -2,6 +2,7 @@
 addressing, quarantine, and parallel-replay determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from repro.trace.store import (
     TRACE_SCHEMA_VERSION,
     TraceFormatError,
     TraceStore,
-    iter_traces,
     load_trace,
     save_trace,
     trace_digest,
@@ -147,14 +147,6 @@ def test_load_rejects_wrong_schema_version(tmp_path):
         load_trace(path)
 
 
-def test_iter_traces_skips_corrupt(tmp_path):
-    save_trace(synthetic_trace(seed=1), tmp_path / "a.trace.npz")
-    (tmp_path / "b.trace.npz").write_bytes(b"garbage")
-    with pytest.warns(RuntimeWarning):
-        found = list(iter_traces(tmp_path))
-    assert [p.name for p, _ in found] == ["a.trace.npz"]
-
-
 # ----------------------------------------------------------------------
 # TraceStore: content addressing and quarantine
 # ----------------------------------------------------------------------
@@ -163,19 +155,26 @@ def test_store_save_load_contains(tmp_path):
     store = TraceStore(tmp_path)
     key = trace_key("deadbeef" * 8)
     assert not store.contains(key)
-    store.save(key, synthetic_trace())
+    store.put(key, synthetic_trace())
     assert store.contains(key)
     assert store.keys() == [key]
-    assert store.load(key) is not None
+    assert store.get(key) is not None
+    # Iteration skips (and quarantines) a corrupt entry instead of dying.
+    corrupt = trace_key("feedface" * 8)
+    store.put(corrupt, synthetic_trace(seed=1))
+    store.path_for(corrupt).write_bytes(b"garbage")
+    with pytest.warns(RuntimeWarning):
+        found = list(store.iter_traces())
+    assert [k for k, _ in found] == [key]
 
 
 def test_store_quarantines_corrupt_entry(tmp_path):
     store = TraceStore(tmp_path)
     key = trace_key("deadbeef" * 8)
-    store.save(key, synthetic_trace())
+    store.put(key, synthetic_trace())
     store.path_for(key).write_bytes(b"garbage")
     with pytest.warns(RuntimeWarning):
-        assert store.load(key) is None
+        assert store.get(key) is None
     assert store.quarantined == 1
     assert not store.contains(key)
     quarantine = tmp_path / "quarantine"
@@ -221,6 +220,30 @@ def test_analyze_store_jobs_byte_identity(tmp_path):
     assert list(serial) == list(parallel)
     for key in serial:
         assert serial[key].digest() == parallel[key].digest()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_analyze_store_skips_a_corrupt_trace(tmp_path, jobs):
+    """One flipped byte quarantines that trace; the other is analyzed,
+    and the bad one is neither retried nor allowed to abort the run."""
+    from repro.experiments.parallel import FabricReport
+
+    store = TraceStore(tmp_path)
+    _record_pair(store)
+    good, bad = store.keys()
+    expected = analyze_view(store.get(good)).digest()
+    path = store.path_for(bad)
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    report = FabricReport()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the quarantine
+        analytics = analyze_store(store, jobs=jobs, report=report)
+    assert list(analytics) == [good]
+    assert analytics[good].digest() == expected
+    assert report.retries == 0
+    assert (tmp_path / "quarantine" / path.name).exists()
 
 
 def test_record_traces_skips_existing(tmp_path):
