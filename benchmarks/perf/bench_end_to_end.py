@@ -8,8 +8,8 @@ duty/render work, and a reclaim-heavy thrash loop — so a speedup here
 reflects real session wall-clock, not a microbench artifact.
 
 Run directly (``python -m benchmarks.perf.bench_end_to_end``) or
-through ``benchmarks.perf.run`` / ``repro bench``, which record the
-number to a ``BENCH_<date>.json``.
+through ``python -m benchmarks.perf.run``, which records the number to
+a ``BENCH_<date>.json``.
 """
 
 from __future__ import annotations

@@ -70,23 +70,29 @@ KIND_DESC = {
     KIND_SETORDER: "set iteration order",
 }
 
-_WALLCLOCK_CALLS = frozenset({
+#: The one catalog of host-clock reads: REP101 bans them in the
+#: simulation core, and they are the ``wallclock`` taint source.
+WALLCLOCK_CALLS = frozenset({
     "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
     "time.perf_counter", "time.perf_counter_ns", "time.process_time",
     "time.process_time_ns", "time.clock_gettime", "time.clock_gettime_ns",
+    "time.localtime", "time.gmtime", "time.ctime",
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today", "datetime.date.today",
 })
 
-_RNG_DRAWS = frozenset({
+#: The one catalog of process-global ``random.<fn>`` calls: REP102 bans
+#: them in the simulation core, and they are an ``rng`` taint source.
+RNG_DRAWS = frozenset({
     "random", "randint", "randrange", "choice", "choices", "shuffle",
     "sample", "uniform", "gauss", "normalvariate", "betavariate",
-    "expovariate", "triangular", "lognormvariate", "vonmisesvariate",
-    "paretovariate", "weibullvariate", "getrandbits", "randbytes",
+    "expovariate", "gammavariate", "triangular", "lognormvariate",
+    "vonmisesvariate", "paretovariate", "weibullvariate", "binomialvariate",
+    "getrandbits", "randbytes", "seed",
 })
 
 _RNG_CALLS = (
-    frozenset(f"random.{fn}" for fn in _RNG_DRAWS)
+    frozenset(f"random.{fn}" for fn in RNG_DRAWS)
     | frozenset(f"numpy.random.{fn}" for fn in (
         "random", "rand", "randn", "randint", "normal", "uniform",
         "choice", "shuffle", "permutation", "exponential", "poisson",
@@ -170,7 +176,7 @@ def _target_names(target: ast.AST) -> List[str]:
 
 
 def _classify_source(target: str, has_args: bool) -> Optional[str]:
-    if target in _WALLCLOCK_CALLS:
+    if target in WALLCLOCK_CALLS:
         return KIND_WALLCLOCK
     if target in _RNG_CALLS:
         return KIND_RNG
@@ -443,6 +449,12 @@ class _FunctionAnalyzer:
         if basename in _KEY_FNS or basename.endswith("_job_key"):
             for i, val in enumerate(arg_vals):
                 self._flow("key", f"{basename}() argument {i + 1}", node, val)
+        if basename == "run_jobs" and arg_vals and any(
+            kw.arg == "family" for kw in node.keywords
+        ):
+            # A family keys each job by its payload: the payload is
+            # exactly the job's content-address material.
+            self._flow("key", "run_jobs(family=...) payload", node, arg_vals[0])
         if target.startswith("hashlib."):
             for val in arg_vals:
                 self._flow("key", f"{target}() digest input", node, val)

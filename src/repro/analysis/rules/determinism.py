@@ -28,6 +28,7 @@ import ast
 import re
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
+from ..dataflow import RNG_DRAWS, WALLCLOCK_CALLS
 from ..engine import Finding, ImportMap, Rule, SourceFile
 
 #: The deterministic core: packages whose code runs inside a simulation.
@@ -54,19 +55,11 @@ class WallClockRule(Rule):
     )
     scope = DETERMINISM_SCOPE
 
-    BANNED: FrozenSet[str] = frozenset({
-        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-        "time.process_time_ns", "time.localtime", "time.gmtime", "time.ctime",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-    })
-
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
         imports = ImportMap(src.tree)
         for call in _calls(src.tree):
             dotted = imports.resolve(call.func)
-            if dotted in self.BANNED:
+            if dotted in WALLCLOCK_CALLS:
                 yield self.finding(
                     src, call,
                     f"wall-clock call {dotted}() — use the simulator clock "
@@ -88,14 +81,6 @@ class ModuleRandomRule(Rule):
     )
     scope = DETERMINISM_SCOPE
 
-    DRAW_FNS: FrozenSet[str] = frozenset({
-        "random", "randint", "randrange", "uniform", "choice", "choices",
-        "shuffle", "sample", "gauss", "normalvariate", "lognormvariate",
-        "expovariate", "betavariate", "gammavariate", "triangular",
-        "paretovariate", "vonmisesvariate", "weibullvariate", "getrandbits",
-        "seed", "binomialvariate",
-    })
-
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
         imports = ImportMap(src.tree)
         for call in _calls(src.tree):
@@ -110,7 +95,7 @@ class ModuleRandomRule(Rule):
                 )
             elif (
                 dotted.startswith("random.")
-                and dotted.split(".", 1)[1] in self.DRAW_FNS
+                and dotted.split(".", 1)[1] in RNG_DRAWS
             ):
                 yield self.finding(
                     src, call,

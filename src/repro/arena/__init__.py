@@ -20,7 +20,6 @@ from .driver import (
     ArenaResult,
     arena_job_key,
     arena_jobs,
-    default_arena_cache_dir,
     run_arena,
     run_arena_job,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "artifact_bytes",
     "build_leaderboard",
     "build_policy",
-    "default_arena_cache_dir",
     "get_policy",
     "metrics_from",
     "perceptual_quality",

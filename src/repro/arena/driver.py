@@ -19,7 +19,6 @@ bit-for-bit equal to the §6 experiment it generalizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.session import DEVICE_FACTORIES, StreamingSession
@@ -28,10 +27,8 @@ from ..experiments.parallel import (
     FabricReport,
     ResultCache,
     RetryPolicy,
-    default_cache_dir,
     run_jobs,
 )
-from ..faults import active_plan
 from ..storage import JobFamily, canonical_digest
 from ..video.encoding import GENRES, VideoAsset
 from .policies import build_policy, get_policy, policy_names
@@ -202,7 +199,9 @@ class ArenaRecord:
 
 
 #: Arena cells: what ``repro arena`` journals and caches.
-ARENA_JOBS = JobFamily("arena", ARENA_SCHEMA_VERSION, ArenaRecord)
+ARENA_JOBS = JobFamily(
+    "arena", ARENA_SCHEMA_VERSION, ArenaRecord, arena_job_key
+)
 
 
 def run_arena_job(job: ArenaJob) -> ArenaRecord:
@@ -214,9 +213,6 @@ def run_arena_job(job: ArenaJob) -> ArenaRecord:
     before the session runs (subscription is behavior-neutral, so the
     measured :class:`SessionResult` is unchanged by the instrumentation).
     """
-    plan = active_plan()
-    if plan is not None:
-        plan.fire(f"job:{arena_job_key(job)}")
     device = DEVICE_FACTORIES[job.device](seed=job.seed)
     collector = TraceCollector(device.sim, job.fps)
     session = StreamingSession(
@@ -259,11 +255,6 @@ class ArenaResult:
     report: FabricReport = field(default_factory=FabricReport)
 
 
-def default_arena_cache_dir() -> Path:
-    """Arena records live beside (not among) the session cache entries."""
-    return default_cache_dir() / "arena"
-
-
 def run_arena(
     config: ArenaConfig,
     jobs: Optional[int] = None,
@@ -288,8 +279,7 @@ def run_arena(
     records: List[ArenaRecord] = run_jobs(
         grid,
         run_arena_job,
-        keys=[arena_job_key(job) for job in grid],
-        seeds=[job.seed for job in grid],
+        family=ARENA_JOBS,
         jobs=jobs,
         cache=cache,
         journal=journal,

@@ -43,7 +43,6 @@ from .experiments.parallel import (
     FabricReport,
     SessionSpec,
     SweepInterrupted,
-    cache_key,
     resolve_jobs,
     run_sessions,
 )
@@ -55,14 +54,14 @@ from .video.encoding import RESOLUTION_ORDER, SUPPORTED_FRAME_RATES
 
 
 def _journal(
-    args: argparse.Namespace, family: JobFamily, keys
+    args: argparse.Namespace, family: JobFamily, payloads
 ) -> Optional[SweepJournal]:
     """The checkpoint journal a fabric command asked for: ``--journal``,
-    else the family's default path under the cache (``None`` with
-    ``--no-journal``)."""
+    else the default path for ``family``'s ``payloads`` under the cache
+    (``None`` with ``--no-journal``)."""
     if args.no_journal:
         return None
-    path = args.journal or default_journal_path(family, keys)
+    path = args.journal or default_journal_path(family, payloads)
     return SweepJournal(path, resume=args.resume, family=family)
 
 
@@ -129,13 +128,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             # Trace already recorded and the result fell out of the
             # cache: re-run the session (untraced) for the report.
             result = run_sessions(
-                [spec], jobs=resolve_jobs(args.jobs),
-                cache=False if args.no_cache else None,
+                [spec], cache=False if args.no_cache else None,
             )[0]
     else:
         result = run_sessions(
-            [spec], jobs=resolve_jobs(args.jobs),
-            cache=False if args.no_cache else None,
+            [spec], cache=False if args.no_cache else None,
         )[0]
     payload = _session_payload(result)
     if args.json:
@@ -220,16 +217,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     per_cell = [cell_specs(**cell) for cell in cell_kwargs]
     flat = [spec for specs in per_cell for spec in specs]
-    keys = [cache_key(spec) for spec in flat]
     if args.record_trace:
         from .trace.replay import TRACE_RECORD_JOBS
-        from .trace.store import trace_key
 
-        journal = _journal(
-            args, TRACE_RECORD_JOBS, [trace_key(key) for key in keys]
-        )
+        journal = _journal(args, TRACE_RECORD_JOBS, flat)
     else:
-        journal = _journal(args, SWEEP_JOBS, keys)
+        journal = _journal(args, SWEEP_JOBS, flat)
     report = FabricReport()
     try:
         if args.record_trace:
@@ -304,13 +297,7 @@ def _cmd_study_fleet(args: argparse.Namespace) -> int:
     """
     from pathlib import Path
 
-    from .study.fleet import (
-        FLEET_JOBS,
-        FleetConfig,
-        cohort_job_key,
-        cohort_jobs,
-        run_fleet,
-    )
+    from .study.fleet import FLEET_JOBS, FleetConfig, cohort_jobs, run_fleet
 
     config = FleetConfig(
         n_devices=args.devices,
@@ -319,10 +306,9 @@ def _cmd_study_fleet(args: argparse.Namespace) -> int:
         cohort_size=args.cohort_size,
     )
     export_dir = Path(args.export) if args.export else None
-    journal = _journal(args, FLEET_JOBS, [
-        cohort_job_key(job)
-        for job in cohort_jobs(config, export_dir, args.keep_logs)
-    ])
+    journal = _journal(
+        args, FLEET_JOBS, cohort_jobs(config, export_dir, args.keep_logs)
+    )
     report = FabricReport()
     try:
         result = run_fleet(
@@ -366,7 +352,7 @@ def _cmd_study_fleet(args: argparse.Namespace) -> int:
 
 def cmd_trace_record(args: argparse.Namespace) -> int:
     from .experiments.parallel import repetition_seeds
-    from .trace.replay import TRACE_RECORD_JOBS, record_traces, spec_trace_key
+    from .trace.replay import TRACE_RECORD_JOBS, record_traces
     from .trace.store import TraceStore, default_trace_dir
 
     specs = [
@@ -404,7 +390,7 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
         "store": str(store.root),
         "recorded": report.computed,
         "already_recorded": report.cache_hits,
-        "keys": [spec_trace_key(spec) for spec in specs],
+        "keys": [TRACE_RECORD_JOBS.key(spec) for spec in specs],
     }
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -612,15 +598,12 @@ def cmd_arena(args: argparse.Namespace) -> int:
     from .arena import (
         ARENA_JOBS,
         ArenaConfig,
-        arena_job_key,
         arena_jobs,
-        default_arena_cache_dir,
         render_table,
         run_arena,
         write_artifact,
     )
-    from .experiments.parallel import CACHE_DISABLE_ENV, ResultCache
-    import os
+    from .experiments.parallel import resolve_cache
 
     config = ArenaConfig(
         policies=tuple(
@@ -643,10 +626,8 @@ def cmd_arena(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"arena: {exc}", file=sys.stderr)
         return 2
-    cache = None
-    if not args.no_cache and not os.environ.get(CACHE_DISABLE_ENV):
-        cache = ResultCache(default_arena_cache_dir(), ARENA_JOBS)
-    journal = _journal(args, ARENA_JOBS, [arena_job_key(job) for job in grid])
+    cache = resolve_cache(False if args.no_cache else None, ARENA_JOBS)
+    journal = _journal(args, ARENA_JOBS, grid)
     report = FabricReport()
     try:
         result = run_arena(
@@ -671,37 +652,6 @@ def cmd_arena(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Thin wrapper over ``benchmarks.perf.run`` (the perf harness lives
-    alongside the repo, not inside the installed package)."""
-    try:
-        from benchmarks.perf import run as perf_run
-    except ImportError:
-        print(
-            "repro bench requires the repository's benchmarks/ package "
-            "on sys.path (run from the repo root).",
-            file=sys.stderr,
-        )
-        return 2
-    argv = []
-    if args.quick:
-        argv.append("--quick")
-    if args.skip_sweep:
-        argv.append("--skip-sweep")
-    if args.skip_end_to_end:
-        argv.append("--skip-end-to-end")
-    if args.skip_population:
-        argv.append("--skip-population")
-    if args.skip_trace:
-        argv.append("--skip-trace")
-    if args.million:
-        argv.append("--million")
-    argv.extend(["--jobs", str(args.jobs)])
-    if args.out:
-        argv.extend(["--out", args.out])
-    return perf_run.main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -724,9 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--organic-apps", type=int, default=0)
     run_p.add_argument("--memory-aware-abr", action="store_true")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (0 = all cores); a single "
-                            "session always runs in one process")
     run_p.add_argument("--no-cache", action="store_true",
                        help="bypass the on-disk session result cache")
     run_p.add_argument("--record-trace", default=None, metavar="DIR",
@@ -975,29 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "into DIR")
     arena_p.add_argument("--json", action="store_true")
     arena_p.set_defaults(func=cmd_arena)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the perf benchmarks and write a BENCH_<date>.json",
-    )
-    bench_p.add_argument("--quick", action="store_true",
-                         help="small op counts / one-cell sweep (CI smoke)")
-    bench_p.add_argument("--jobs", type=int, default=4,
-                         help="worker processes for the parallel sweep leg")
-    bench_p.add_argument("--skip-sweep", action="store_true",
-                         help="microbenchmarks only")
-    bench_p.add_argument("--skip-end-to-end", action="store_true",
-                         help="skip the canonical session-pair macrobench")
-    bench_p.add_argument("--skip-population", action="store_true",
-                         help="skip the §3 fleet devices/sec benchmark")
-    bench_p.add_argument("--skip-trace", action="store_true",
-                         help="skip the trace record/replay macrobench")
-    bench_p.add_argument("--million", action="store_true",
-                         help="include the 1M-device fleet leg (records "
-                              "peak RSS; several minutes)")
-    bench_p.add_argument("--out", default=None,
-                         help="output path (default BENCH_<date>.json in cwd)")
-    bench_p.set_defaults(func=cmd_bench)
 
     return parser
 

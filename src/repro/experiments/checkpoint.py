@@ -38,6 +38,7 @@ from __future__ import annotations
 import base64
 import json
 import pickle
+from contextlib import suppress
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, Optional
 
@@ -46,6 +47,7 @@ from ..storage import (
     canonical_digest,
     fsync_handle,
     open_journal,
+    read_journal,
     record_crc,
 )
 from .parallel import SWEEP_JOBS, default_cache_dir
@@ -54,15 +56,16 @@ JOURNAL_VERSION = 2
 
 
 def default_journal_path(
-    family: JobFamily, keys: Iterable[str], root: Optional[Path] = None
+    family: JobFamily, payloads: Iterable[Any], root: Optional[Path] = None
 ) -> Path:
     """``<cache root>/journals/<family>-<run digest>.journal``.
 
-    The run digest hashes the sorted job keys, so re-running the same
-    command line finds its own journal and a different grid gets a
-    fresh one.
+    The run digest hashes the sorted keys of the journaled ``payloads``
+    (``family.key``), so re-running the same command line finds its own
+    journal and a different grid gets a fresh one.
     """
     base = root if root is not None else default_cache_dir()
+    keys = [key for key in map(family.key, payloads) if key is not None]
     digest = canonical_digest(sorted(keys))[:16]
     return base / "journals" / f"{family.name}-{digest}.journal"
 
@@ -156,42 +159,25 @@ class SweepJournal:
     def _load(self) -> tuple[Dict[str, Any], bool]:
         entries: Dict[str, Any] = {}
         try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return entries, False
-        lines = text.splitlines()
-        if not lines:
-            return entries, False
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
+            header, records = read_journal(self.path)
+        except (OSError, ValueError):
             return entries, False
         if (
-            not isinstance(header, dict)
+            header is None
             or header.get("journal") != self.family.magic
             or header.get("version") != JOURNAL_VERSION
             or header.get("schema") != self.family.schema
         ):
             return entries, False
-        for line in lines[1:]:
-            try:
-                record = json.loads(line)
-                key = record["key"]
-                blob = record["result"]
-                if record.get("crc") != record_crc(f"{key}\x00{blob}"):
-                    # The CRC was written with the record, so a mismatch
-                    # means the line was cut mid-append: skip exactly it.
-                    self.skipped += 1
-                    continue
-                result = pickle.loads(base64.b64decode(blob))
-            except Exception:
-                # A kill mid-append leaves at most one truncated tail
-                # line; tolerate it (counted) instead of refusing the
-                # whole journal.
-                self.skipped += 1
-                continue
-            if isinstance(key, str) and isinstance(result, self.family.payload):
-                entries[key] = result
+        for record in records:
+            # A kill mid-append leaves at most one torn tail line: skip
+            # exactly it (counted) instead of refusing the whole journal.
+            result = None
+            if not record.problem and isinstance(record.key, str):
+                with suppress(Exception):
+                    result = pickle.loads(base64.b64decode(record.blob))
+            if isinstance(result, self.family.payload):
+                entries[record.key] = result
             else:
                 self.skipped += 1
         return entries, True

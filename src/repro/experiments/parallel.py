@@ -25,7 +25,7 @@ is free to retry, relocate, or serialize work when things go wrong.
 Concretely (see ``docs/robustness.md`` for the failure model):
 
 * a job that raises is retried with exponential backoff whose jitter
-  derives from the job's seed (deterministic, never wall clock), and
+  derives from the job's key (deterministic, never wall clock), and
   re-runs **serially in-process** so a poisoned pool cannot eat it;
 * a killed worker (``BrokenProcessPool``) costs one pool restart; a
   second loss degrades the rest of the sweep to in-process serial
@@ -42,7 +42,9 @@ Concretely (see ``docs/robustness.md`` for the failure model):
 
 :func:`run_jobs` is the one driver: sessions, trace recording and
 analysis, fleet cohorts and arena cells all resolve each job the same
-way — journal, then cache, then computation.
+way — journal, then cache, then computation.  Each kind is declared
+once, as a :class:`~repro.storage.JobFamily`; the fabric derives its
+keys, retry jitter and fault points (``job:<key>``) from it.
 """
 
 from __future__ import annotations
@@ -99,9 +101,6 @@ SCHEMA_VERSION = 2
 #: SCHEMA_VERSION bump alongside an updated fingerprint here.
 SCHEMA_FINGERPRINT = "972341064bfabe6a"
 
-#: Session jobs: what ``repro sweep`` journals and the result cache holds.
-SWEEP_JOBS = JobFamily("sweep", SCHEMA_VERSION, SessionResult)
-
 #: Seed stride between repetitions of a cell (a prime, so overlapping
 #: sweeps with different base seeds rarely collide).
 SEED_STRIDE = 7919
@@ -143,7 +142,7 @@ class RetryPolicy:
     Backoff before attempt *n*'s retry is
     ``min(backoff_max_s, backoff_base_s * backoff_factor**n)`` scaled
     by a jitter factor in ``[1, 1 + jitter_frac]`` derived from the
-    job's seed and the attempt number — deterministic across runs and
+    job's key and the attempt number — deterministic across runs and
     hosts, unlike wall-clock or pid-seeded jitter.
 
     ``hang_timeout_s`` bounds how long a single job may run without its
@@ -160,8 +159,9 @@ class RetryPolicy:
     heartbeat_poll_s: float = 0.25
     pool_restarts: int = 1
 
-    def backoff_s(self, seed: int, attempt: int) -> float:
-        """Deterministic backoff delay before retry ``attempt``."""
+    def backoff_s(self, seed: int | str, attempt: int) -> float:
+        """Deterministic backoff delay before retry ``attempt``; ``seed``
+        is the job's key (its index when it has none)."""
         base = min(
             self.backoff_max_s,
             self.backoff_base_s * self.backoff_factor ** attempt,
@@ -278,6 +278,13 @@ def cache_key(spec: SessionSpec) -> str:
     return canonical_digest(material)
 
 
+#: Session jobs: what ``repro sweep`` journals and the result cache holds.
+SWEEP_JOBS = JobFamily(
+    "sweep", SCHEMA_VERSION, SessionResult,
+    lambda spec: cache_key(spec) if spec.cacheable else None,
+)
+
+
 def _write_pickle(fh: IO[bytes], result: Any) -> None:
     fh.write(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
@@ -323,19 +330,25 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "sessions"
 
 
-def resolve_cache(cache: Any = None) -> Optional[ResultCache]:
+def resolve_cache(
+    cache: Any = None, family: JobFamily = SWEEP_JOBS
+) -> Optional[ResultCache]:
     """Normalize a ``cache=`` argument.
 
-    ``None`` selects the default on-disk cache (unless ``REPRO_NO_CACHE``
-    is set), ``False`` disables caching, and a :class:`ResultCache`
-    passes through.
+    ``None`` selects ``family``'s default on-disk cache (unless
+    ``REPRO_NO_CACHE`` is set): :func:`default_cache_dir` for sessions,
+    ``<that>/<family.name>`` for any other family.  ``False`` disables
+    caching, and a :class:`ResultCache` passes through.
     """
     if cache is False:
         return None
     if cache is None:
         if os.environ.get(CACHE_DISABLE_ENV):
             return None
-        return ResultCache(default_cache_dir())
+        root = default_cache_dir()
+        if family is not SWEEP_JOBS:
+            root = root / family.name
+        return ResultCache(root, family)
     assert isinstance(cache, ResultCache)
     return cache
 
@@ -346,15 +359,7 @@ def repetition_seeds(base_seed: int, repetitions: int) -> List[int]:
 
 
 def run_spec(spec: SessionSpec) -> SessionResult:
-    """Execute one session job to completion (worker entry point).
-
-    When a fault plan is installed (chaos harness, tests) the job's
-    fault point fires first, so injected kills/stalls/raises land
-    exactly where a real fault would: mid-job, inside the worker.
-    """
-    plan = active_plan()
-    if plan is not None and spec.cacheable:
-        plan.fire(f"job:{cache_key(spec)}")
+    """Execute one session job to completion (worker entry point)."""
     session = StreamingSession(
         device=spec.device,
         asset=spec.asset,
@@ -426,12 +431,27 @@ class _Heartbeat:
             self.path.write_text(f"{self.seq}:{state}")  # repro: noqa[REP111]
 
 
-#: A job runner: any picklable module-level callable taking one payload.
+#: A job runner: any picklable module-level callable (or ``partial`` of
+#: one) taking one payload.
 JobRunner = Callable[[Any], Any]
+
+
+def _run_job(runner: JobRunner, payload: Any, key: Optional[str]) -> Any:
+    """Run one job, firing its fault point ``job:<key>`` first.
+
+    With a fault plan installed (chaos harness, tests), injected
+    kills/stalls/raises land exactly where a real fault would: mid-job,
+    in the process that runs it.  Unkeyed jobs have no fault point.
+    """
+    plan = active_plan()
+    if plan is not None and key is not None:
+        plan.fire(f"job:{key}")
+    return runner(payload)
 
 
 def _run_chunk(
     payloads: Sequence[Any],
+    keys: Sequence[Optional[str]],
     runner: JobRunner,
     hb_dir: Optional[str] = None,
 ) -> List[Any]:
@@ -446,32 +466,35 @@ def _run_chunk(
     """
     beat = _Heartbeat(hb_dir)
     results: List[Any] = []
-    for payload in payloads:
+    for payload, key in zip(payloads, keys):
         beat.working()
-        results.append(runner(payload))
+        results.append(_run_job(runner, payload, key))
     beat.idle()
     return results
 
 
 def _run_with_retries(
     payload: Any,
+    key: Optional[str],
+    index: int,
     runner: JobRunner,
-    seed: int,
     policy: RetryPolicy,
     report: FabricReport,
 ) -> Any:
-    """Run one job in-process with bounded, deterministic-jitter retries."""
+    """Run one job in-process with bounded, deterministic-jitter retries
+    (jitter seeded from ``key``, or ``index`` when the job has none)."""
+    seed = key if key is not None else index
     attempts = max(1, policy.max_attempts)
     for attempt in range(attempts):
         try:
-            return runner(payload)
+            return _run_job(runner, payload, key)
         except KeyboardInterrupt:
             raise
         except Exception as exc:
             report.failures += 1
             if attempt + 1 >= attempts:
                 raise JobFailedError(
-                    f"session job (seed {seed}) still failing after "
+                    f"job {seed} still failing after "
                     f"{attempts} attempts: {exc!r}"
                 ) from exc
             report.retries += 1
@@ -516,6 +539,7 @@ def _read_heartbeat(entry: Path) -> Optional[Tuple[float, str]]:
 
 def _one_pool_pass(
     payloads: Sequence[Any],
+    keys: Sequence[Optional[str]],
     runner: JobRunner,
     queue: Sequence[int],
     n_workers: int,
@@ -551,7 +575,11 @@ def _one_pool_pass(
     try:
         for chunk in chunks:
             pending[pool.submit(
-                _run_chunk, [payloads[i] for i in chunk], runner, str(hb_dir)
+                _run_chunk,
+                [payloads[i] for i in chunk],
+                [keys[i] for i in chunk],
+                runner,
+                str(hb_dir),
             )] = chunk
         last_progress = time.time()
         while pending:
@@ -609,8 +637,8 @@ def _one_pool_pass(
 
 def _run_pool(
     payloads: Sequence[Any],
+    keys: Sequence[Optional[str]],
     runner: JobRunner,
-    seeds: Sequence[int],
     fan_out: Sequence[int],
     n_workers: int,
     policy: RetryPolicy,
@@ -622,14 +650,15 @@ def _run_pool(
     restarts_left = max(0, policy.pool_restarts)
     while True:
         failed, lost = _one_pool_pass(
-            payloads, runner, queue, n_workers, policy, report, complete
+            payloads, keys, runner, queue, n_workers, policy, report,
+            complete,
         )
         # Poisoned chunks: re-run their jobs serially in-process, with
         # bounded retries, so one bad job cannot take the sweep down.
         for index in failed:
             report.serial_fallback += 1
             complete(index, _run_with_retries(
-                payloads[index], runner, seeds[index], policy, report
+                payloads[index], keys[index], index, runner, policy, report
             ))
         if not lost:
             return
@@ -653,7 +682,7 @@ def _run_pool(
         for index in sorted(lost):
             report.serial_fallback += 1
             complete(index, _run_with_retries(
-                payloads[index], runner, seeds[index], policy, report
+                payloads[index], keys[index], index, runner, policy, report
             ))
         return
 
@@ -689,8 +718,7 @@ def run_jobs(
     payloads: Sequence[Any],
     runner: JobRunner,
     *,
-    keys: Optional[Sequence[Optional[str]]] = None,
-    seeds: Optional[Sequence[int]] = None,
+    family: Optional[JobFamily] = None,
     jobs: Optional[int] = None,
     cache: Optional[JobCache] = None,
     journal: Optional["SweepJournal"] = None,
@@ -708,21 +736,19 @@ def run_jobs(
     results are both journaled, so ``--resume --no-cache`` replays
     everything already done; computed results also land in the cache.
 
-    ``keys`` are per-job journal and cache keys (``None`` opts a job
-    out of both); ``seeds`` feed the deterministic retry backoff
-    (defaults to the payload index).  Serial, parallel, cached,
-    resumed, and fault-recovered runs yield bit-identical results.
+    ``family.key`` gives each job its journal and cache key, its fault
+    point ``job:<key>`` (fired just before ``runner``, in the process
+    that runs the job) and its retry jitter; a ``None`` key, or no
+    ``family``, opts a job out of all three (its jitter comes from its
+    index).  Serial, parallel, cached, resumed, and fault-recovered
+    runs yield bit-identical results.
     """
     policy = policy if policy is not None else RetryPolicy()
     stats = report if report is not None else FabricReport()
-    job_keys: Sequence[Optional[str]] = (
-        keys if keys is not None else [None] * len(payloads)
+    job_keys: List[Optional[str]] = (
+        [family.key(payload) for payload in payloads]
+        if family is not None else [None] * len(payloads)
     )
-    job_seeds: Sequence[int] = (
-        seeds if seeds is not None else list(range(len(payloads)))
-    )
-    if len(job_keys) != len(payloads) or len(job_seeds) != len(payloads):
-        raise ValueError("keys/seeds must match payloads in length")
     results: List[Any] = [None] * len(payloads)
     done: List[bool] = [False] * len(payloads)
     journal_map = journal.begin() if journal is not None else {}
@@ -765,11 +791,12 @@ def run_jobs(
         if n_workers <= 1:
             for index in fan_out:
                 complete(index, _run_with_retries(
-                    payloads[index], runner, job_seeds[index], policy, stats
+                    payloads[index], job_keys[index], index, runner, policy,
+                    stats,
                 ))
         else:
             _run_pool(
-                payloads, runner, job_seeds, fan_out, n_workers, policy,
+                payloads, job_keys, runner, fan_out, n_workers, policy,
                 stats, complete,
             )
     except KeyboardInterrupt:
@@ -795,8 +822,8 @@ def run_sessions(
     policy: Optional[RetryPolicy] = None,
     report: Optional[FabricReport] = None,
 ) -> List[SessionResult]:
-    """Run session jobs through :func:`run_jobs`, keyed by
-    :func:`cache_key` (``cache`` as in :func:`resolve_cache`).
+    """Run session jobs through :func:`run_jobs` as :data:`SWEEP_JOBS`
+    (``cache`` as in :func:`resolve_cache`).
 
     Specs with a shared-instance ABR are neither journaled nor cached;
     they run last, in-process and in submission order, so their
@@ -812,11 +839,7 @@ def run_sessions(
             part_results = run_jobs(
                 [specs[i] for i in part],
                 run_spec,
-                keys=[
-                    cache_key(specs[i]) if specs[i].cacheable else None
-                    for i in part
-                ],
-                seeds=[specs[i].seed for i in part],
+                family=SWEEP_JOBS,
                 jobs=workers,
                 cache=store,
                 journal=journal if part is pooled else None,

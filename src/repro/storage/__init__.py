@@ -43,6 +43,7 @@ from .atomic import (
     prune_stale_tmp,
     publish_bytes,
     publish_via,
+    read_journal,
     record_crc,
 )
 from .envelope import (
@@ -89,6 +90,7 @@ __all__ = [
     "publish_artifact",
     "publish_bytes",
     "publish_via",
+    "read_journal",
     "read_sidecar",
     "record_crc",
     "scrub",

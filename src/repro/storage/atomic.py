@@ -35,13 +35,16 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import json
 import os
 import tempfile
 import zlib
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Optional, TextIO, Union
+from typing import (
+    IO, Any, Callable, Dict, Iterator, List, Optional, TextIO, Tuple, Union,
+)
 
 from ..faults.injector import InjectedCrash, claim_storage_fault
 
@@ -274,6 +277,59 @@ def record_crc(payload: str) -> str:
     cut mid-write and resume must skip exactly that record.
     """
     return format(zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF, "08x")
+
+
+@dataclass(frozen=True)
+class JournalRecord:
+    """One record line of a journal: its key and result blob, or
+    ``problem`` when the line cannot be trusted."""
+
+    lineno: int
+    key: Any = ""
+    blob: Any = ""
+    problem: str = ""
+
+
+def read_journal(
+    path: Union[str, Path],
+) -> Tuple[Optional[Dict[str, Any]], Iterator[JournalRecord]]:
+    """The one journal reader: the header, then each record or its problem.
+
+    An empty file has no header and no records.  An unreadable file
+    raises :class:`OSError`, and a first line that is not a JSON object
+    naming a journal raises :class:`ValueError`.  Blank lines are not
+    records.  A record that does not parse, is not a JSON object, or
+    fails its ``key + "\x00" + result`` CRC comes back with its
+    ``problem`` set; the caller decides what a problem costs.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines:
+        return None, iter(())
+    header = json.loads(lines[0])
+    if not isinstance(header, dict) or "journal" not in header:
+        raise ValueError("first line is not a journal header")
+    return header, _journal_records(lines)
+
+
+def _journal_records(lines: List[str]) -> Iterator[JournalRecord]:
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            yield JournalRecord(lineno, problem="unparseable record")
+            continue
+        if not isinstance(entry, dict):
+            yield JournalRecord(lineno, problem="record is not a JSON object")
+            continue
+        key, blob = entry.get("key", ""), entry.get("result", "")
+        if entry.get("crc") != record_crc(f"{key}\x00{blob}"):
+            # The CRC was written with the record, so a mismatch means
+            # the line was cut mid-append.
+            yield JournalRecord(lineno, problem="record CRC mismatch")
+            continue
+        yield JournalRecord(lineno, key, blob)
 
 
 def fsync_handle(fh: TextIO) -> None:

@@ -69,16 +69,21 @@ def canonical_digest(obj: Any) -> str:
 
 @dataclass(frozen=True)
 class JobFamily:
-    """What one kind of fabric job stores: its name, schema and payload.
+    """One kind of fabric job: its name, schema, result type and key.
 
+    ``key(job)`` is the job's content address, the one thing the fabric
+    derives everything else from: journal and cache keys, the fault
+    point ``job:<key>``, the retry jitter, and the default journal
+    name.  ``None`` keeps a job out of the journal and the cache.
     Journals stamp ``magic`` and ``schema`` into their header and result
-    caches stamp ``schema`` and the payload type into each envelope, so
+    caches stamp ``schema`` and the result type into each envelope, so
     a stale or foreign journal or entry is discarded, never replayed.
     """
 
     name: str
     schema: int
     payload: type
+    key: Callable[[Any], Optional[str]]
 
     @property
     def magic(self) -> str:

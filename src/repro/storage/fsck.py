@@ -25,13 +25,12 @@ error (e.g. a root that is not a directory).
 
 from __future__ import annotations
 
-import json
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Union
 
-from .atomic import TMP_SUFFIX, record_crc
+from .atomic import TMP_SUFFIX, read_journal
 from .envelope import (
     QUARANTINE_DIR,
     SIDECAR_SUFFIX,
@@ -200,41 +199,17 @@ class FsckReport:
 def _scrub_journal(path: Path, store: StoreFsck) -> None:
     store.journals += 1
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+        _, records = read_journal(path)
+    except (OSError, ValueError) as exc:
         store.findings.append(
             Finding(str(path), "garbled-journal-header", str(exc))
         )
         return
-    if not lines:
-        return
-    try:
-        header = json.loads(lines[0])
-        if not isinstance(header, dict) or "journal" not in header:
-            raise ValueError("first line is not a journal header")
-    except ValueError as exc:
-        store.findings.append(
-            Finding(str(path), "garbled-journal-header", str(exc))
-        )
-        return
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        detail = ""
-        try:
-            entry = json.loads(line)
-            if not isinstance(entry, dict):
-                detail = "record is not a JSON object"
-            else:
-                payload = f"{entry.get('key', '')}\x00{entry.get('result', '')}"
-                if record_crc(payload) != entry.get("crc"):
-                    detail = "record CRC mismatch"
-        except ValueError:
-            detail = "unparseable record"
-        if detail:
+    for record in records:
+        if record.problem:
             store.findings.append(
                 Finding(str(path), "torn-journal-record",
-                        f"line {lineno}: {detail}")
+                        f"line {record.lineno}: {record.problem}")
             )
         else:
             store.journal_records += 1

@@ -23,8 +23,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..experiments.checkpoint import SweepJournal
 from ..experiments.parallel import FabricReport, RetryPolicy, run_jobs
-from ..faults import active_plan
-from ..sim.rng import derive_seed
 from ..storage import JobFamily, canonical_digest
 from .cohort import (
     CohortResult,
@@ -83,7 +81,9 @@ def cohort_job_key(job: CohortJob) -> str:
 
 
 #: Cohort shards: what ``repro study --devices`` journals.
-FLEET_JOBS = JobFamily("fleet", POP_SCHEMA_VERSION, CohortResult)
+FLEET_JOBS = JobFamily(
+    "fleet", POP_SCHEMA_VERSION, CohortResult, cohort_job_key
+)
 
 
 def cohort_jobs(
@@ -104,14 +104,7 @@ def cohort_jobs(
 
 
 def run_cohort_job(job: CohortJob) -> CohortResult:
-    """Worker entry point: simulate one cohort shard.
-
-    Fires the job's fault point first (chaos harness, supervision
-    tests), mirroring ``run_spec``.
-    """
-    plan = active_plan()
-    if plan is not None:
-        plan.fire(f"job:{cohort_job_key(job)}")
+    """Worker entry point: simulate one cohort shard."""
     collect = job.export_dir is not None or job.keep_columns
     result = simulate_cohort(
         job.cohort_index, job.config, collect_columns=collect
@@ -170,11 +163,7 @@ def run_fleet(
     results: Sequence[Optional[CohortResult]] = run_jobs(
         payloads,
         run_cohort_job,
-        keys=[cohort_job_key(job) for job in payloads],
-        seeds=[
-            derive_seed(config.seed, f"study.fleet{job.cohort_index}")
-            for job in payloads
-        ],
+        family=FLEET_JOBS,
         jobs=jobs,
         journal=journal,
         policy=policy,

@@ -19,14 +19,17 @@ split for the simulator:
   ``run_jobs`` (one trace per job, journal-resume supported), **without
   re-simulating anything**.
 
-Replay jobs are embarrassingly parallel and their payloads are plain
-``(store root, key)`` pairs, so jobs=1 and jobs=N produce
-byte-identical analytics.
+Each job's payload is exactly its key material — a recording job's
+is its :class:`~repro.experiments.parallel.SessionSpec`, a replay job's
+its trace key — and the store root rides on the runner
+(``partial(record_trace_job, root)``), so jobs=1 and jobs=N produce
+byte-identical traces and analytics.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.clock import Time
@@ -128,14 +131,22 @@ class TraceAnalytics:
         return canonical_digest(self.canonical())
 
 
-#: Trace-recording jobs, keyed by trace address (which folds in the
-#: session schema through the spec's cache key).
+def _spec_trace_key(spec: "SessionSpec") -> str:
+    from ..experiments.parallel import cache_key
+
+    return trace_key(cache_key(spec))
+
+
+#: Trace-recording jobs (payload: a spec), keyed by trace address
+#: (which folds in the session schema through the spec's cache key).
 TRACE_RECORD_JOBS = JobFamily(
-    "trace-record", TRACE_SCHEMA_VERSION, SessionResult
+    "trace-record", TRACE_SCHEMA_VERSION, SessionResult, _spec_trace_key
 )
-#: Replay-analytics jobs, keyed by ``analytics:<trace key>``.
+#: Replay-analytics jobs (payload: a trace key), keyed by
+#: ``analytics:<trace key>``.
 TRACE_ANALYTICS_JOBS = JobFamily(
-    "trace-analytics", TRACE_SCHEMA_VERSION, TraceAnalytics
+    "trace-analytics", TRACE_SCHEMA_VERSION, TraceAnalytics,
+    lambda key: f"analytics:{key}",
 )
 
 
@@ -201,33 +212,15 @@ def record_session_trace(
     return result, recorder
 
 
-def spec_trace_key(spec: "SessionSpec") -> str:
-    """Content address of a spec's trace (spec digest + trace schema)."""
+def record_trace_job(root: str, spec: "SessionSpec") -> SessionResult:
+    """Record one session's trace into the store at ``root`` (worker
+    entry point, bound to its store as ``partial(record_trace_job,
+    root)``)."""
     from ..experiments.parallel import cache_key
 
-    return trace_key(cache_key(spec))
-
-
-@dataclass(frozen=True)
-class TraceRecordJob:
-    """One record-and-persist job: a spec plus the store to write into.
-
-    Plain data (no callables, no open handles) so the generic fabric
-    can ship it to a worker process.
-    """
-
-    spec: "SessionSpec"
-    store_root: str
-
-
-def record_trace_job(job: TraceRecordJob) -> SessionResult:
-    """Record one session's trace into the store (worker entry point)."""
-    from ..experiments.parallel import cache_key
-
-    spec = job.spec
     result, recorder = record_session_trace(spec)
     session_key = cache_key(spec)
-    TraceStore(job.store_root).put(
+    TraceStore(root).put(
         trace_key(session_key),
         recorder,
         meta={
@@ -307,16 +300,14 @@ def record_traces(
     """
     from ..experiments.parallel import cache_key, resolve_cache, run_jobs
 
-    session_keys = [cache_key(spec) for spec in specs]
-    trace_keys = [trace_key(key) for key in session_keys]
     recorded = _RecordedTraces(
-        store, resolve_cache(cache), dict(zip(trace_keys, session_keys))
+        store, resolve_cache(cache),
+        {trace_key(key): key for key in map(cache_key, specs)},
     )
     return run_jobs(
-        [TraceRecordJob(spec, str(store.root)) for spec in specs],
-        record_trace_job,
-        keys=trace_keys,
-        seeds=[spec.seed for spec in specs],
+        specs,
+        partial(record_trace_job, str(store.root)),
+        family=TRACE_RECORD_JOBS,
         jobs=jobs,
         cache=recorded,
         journal=journal,
@@ -329,9 +320,10 @@ def record_traces(
 # Replay: parallel analytics over stored traces, no re-simulation
 # ======================================================================
 
-def analyze_trace_path(job: Tuple[str, str]) -> Any:
-    """Verify and load one stored trace, then run the §5 queries
-    (worker entry point; ``job`` is ``(store root, trace key)``).
+def analyze_trace_path(root: str, key: str) -> Any:
+    """Verify and load the trace ``key`` from the store at ``root``, then
+    run the §5 queries (worker entry point, bound to its store as
+    ``partial(analyze_trace_path, root)``).
 
     A trace that fails verification is quarantined by the store and
     yields ``NO_RESULT``: it is neither retried nor journaled, so a
@@ -339,7 +331,6 @@ def analyze_trace_path(job: Tuple[str, str]) -> Any:
     """
     from ..experiments.parallel import NO_RESULT
 
-    root, key = job
     trace = TraceStore(root).get(key)
     return NO_RESULT if trace is None else analyze_view(trace)
 
@@ -365,9 +356,9 @@ def analyze_store(
 
     trace_keys = list(keys) if keys is not None else store.keys()
     analytics = run_jobs(
-        [(str(store.root), key) for key in trace_keys],
-        analyze_trace_path,
-        keys=[f"analytics:{key}" for key in trace_keys],
+        trace_keys,
+        partial(analyze_trace_path, str(store.root)),
+        family=TRACE_ANALYTICS_JOBS,
         jobs=jobs,
         journal=journal,
         policy=policy,

@@ -18,7 +18,7 @@ def findings_for(rel_path, rule):
 
 
 @pytest.mark.parametrize("rel_path,rule,expected", [
-    ("repro/kernel/bad_wallclock.py", "REP101", 3),
+    ("repro/kernel/bad_wallclock.py", "REP101", 5),
     ("repro/kernel/bad_random.py", "REP102", 3),
     ("repro/kernel/bad_hash.py", "REP103", 1),
     ("repro/kernel/bad_id.py", "REP105", 1),
@@ -49,6 +49,20 @@ def test_wallclock_resolves_import_aliases():
     messages = " ".join(f.message for f in found)
     assert "time.perf_counter" in messages  # via `from time import ... as pc`
     assert "datetime.datetime.now" in messages
+
+
+def test_wallclock_catalog_is_shared_with_taint():
+    """REP101 and the REP120 taint source read one catalog: every clock
+    read is banned in the core, and one that feeds a seed is reported
+    by both."""
+    banned = " ".join(
+        f.message for f in findings_for("repro/kernel/bad_wallclock.py", "REP101")
+    )
+    assert "time.clock_gettime" in banned
+    assert "time.localtime" in banned
+    found = findings_for("repro/kernel/bad_wallclock.py", "REP120")
+    assert len(found) == 1
+    assert "derive_seed()" in found[0].message
 
 
 def test_poll_loop_rule_spares_backoff_retries():

@@ -9,6 +9,8 @@ parallel driver and the cache both lean on.
 """
 
 import random
+import shutil
+import textwrap
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.analysis.engine import analyze_file, finish_run
 from repro.analysis.project import ProjectIndex
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parents[2] / "src" / "repro"
 
 TAINT = FIXTURES / "repro" / "taint"
 BOUNDARY = FIXTURES / "repro" / "boundary"
@@ -89,6 +92,42 @@ def test_environ_into_cache_key_fires_rep122():
     findings = findings_for(["repro/taint/bad_env_key.py"])
     assert {f.rule for f in findings} == {"REP122"}
     assert "cache_key" in findings[0].message
+
+
+def test_environ_in_a_spec_run_through_run_sessions_fires_rep122(tmp_path):
+    """A job family keys each job by its payload, so ``run_jobs(...,
+    family=...)`` is a content-address sink for the payload: an
+    os.environ value in a SessionSpec handed to the real run_sessions
+    reaches it."""
+    package = tmp_path / "repro"
+    (package / "experiments").mkdir(parents=True)
+    (package / "sim").mkdir()
+    shutil.copy(
+        SRC / "experiments" / "parallel.py",
+        package / "experiments" / "parallel.py",
+    )
+    (package / "sim" / "env_sweep.py").write_text(textwrap.dedent("""
+        import os
+
+        from repro.experiments.parallel import SessionSpec, run_sessions
+
+
+        def sweep():
+            spec = SessionSpec(
+                device=os.environ.get("REPRO_DEVICE", "nexus5"),
+                resolution="240p", fps=30, pressure="normal", client=None,
+                duration_s=2.0, seed=1,
+            )
+            return run_sessions([spec])
+    """))
+    files = collect_files([package], tmp_path)
+    findings, _ = run_rules(files, build_rules(["REP122"]))
+    assert [(f.path, f.rule) for f in findings] == [
+        ("repro/sim/env_sweep.py", "REP122")
+    ]
+    assert "run_jobs(family=...) payload (via run_sessions())" in (
+        findings[0].message
+    )
 
 
 def test_env_for_output_paths_is_silent():

@@ -282,30 +282,24 @@ def test_run_jobs_journals_and_resumes(tmp_path):
     from repro.experiments.checkpoint import SweepJournal
     from repro.storage import JobFamily
 
-    squares = JobFamily("squares", 1, int)
+    squares = JobFamily("squares", 1, int, lambda p: f"job{p}")
     payloads = [3, 5, 7]
-    keys = [f"job{p}" for p in payloads]
     path = tmp_path / "jobs.journal"
     report = parallel.FabricReport()
     first = parallel.run_jobs(
-        payloads, _square, keys=keys,
+        payloads, _square, family=squares,
         journal=SweepJournal(path, family=squares), report=report,
     )
     assert first == [9, 25, 49]
     assert report.computed == 3
     resumed = parallel.FabricReport()
     second = parallel.run_jobs(
-        payloads, _square, keys=keys,
+        payloads, _square, family=squares,
         journal=SweepJournal(path, family=squares), report=resumed,
     )
     assert second == first
     assert resumed.computed == 0
     assert resumed.resumed == 3
-
-
-def test_run_jobs_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        parallel.run_jobs([1, 2], _square, keys=["only-one"])
 
 
 def test_resolve_jobs_clamps_to_cores():

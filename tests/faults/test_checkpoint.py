@@ -120,12 +120,12 @@ def test_stale_schema_journal_is_discarded(tmp_path):
 
 
 def test_default_journal_path_names_the_grid_not_the_order(tmp_path):
-    keys = [cache_key(_spec(seed=s)) for s in (1, 2, 3)]
-    path = default_journal_path(SWEEP_JOBS, keys, root=tmp_path)
+    specs = [_spec(seed=s) for s in (1, 2, 3)]
+    path = default_journal_path(SWEEP_JOBS, specs, root=tmp_path)
     assert path == default_journal_path(
-        SWEEP_JOBS, list(reversed(keys)), root=tmp_path
+        SWEEP_JOBS, list(reversed(specs)), root=tmp_path
     )
-    assert path != default_journal_path(SWEEP_JOBS, keys[:2], root=tmp_path)
+    assert path != default_journal_path(SWEEP_JOBS, specs[:2], root=tmp_path)
     assert path.suffix == ".journal"
     assert path.parent == tmp_path / "journals"
     assert path.name.startswith("sweep-")

@@ -11,7 +11,9 @@ import warnings
 
 import pytest
 
+from repro.arena import ARENA_JOBS, ArenaConfig, arena_jobs, run_arena
 from repro.experiments.parallel import (
+    SWEEP_JOBS,
     FabricReport,
     JobFailedError,
     RetryPolicy,
@@ -21,6 +23,15 @@ from repro.experiments.parallel import (
 )
 from repro.faults.chaos import results_digest
 from repro.faults.injector import Fault, installed_plan
+from repro.study.cohort import FleetConfig
+from repro.study.fleet import FLEET_JOBS, cohort_jobs, run_fleet
+from repro.trace.replay import (
+    TRACE_ANALYTICS_JOBS,
+    TRACE_RECORD_JOBS,
+    analyze_store,
+    record_traces,
+)
+from repro.trace.store import TraceStore
 
 FAST_RETRIES = RetryPolicy(max_attempts=3, backoff_base_s=0.001)
 
@@ -104,3 +115,71 @@ def test_poisoned_pool_job_recovers_serially(tmp_path):
     assert results_digest(recovered) == results_digest(clean)
     assert report.failures >= 1
     assert report.serial_fallback >= 1
+
+
+# ----------------------------------------------------------------------
+# Every job kind: one driver, one fault point per keyed job
+# ----------------------------------------------------------------------
+# Each kind gives (family, the payload to fault, run(root, **fabric)):
+# ``run`` drives the kind's own driver and returns a comparable result.
+
+def _sweep_kind(tmp_path):
+    spec = _spec()
+    return SWEEP_JOBS, spec, lambda root, **fabric: run_sessions(
+        [spec], cache=False, **fabric
+    )
+
+
+def _trace_record_kind(tmp_path):
+    spec = _spec()
+    return TRACE_RECORD_JOBS, spec, lambda root, **fabric: record_traces(
+        [spec], TraceStore(root), cache=False, **fabric
+    )
+
+
+def _trace_analytics_kind(tmp_path):
+    store = TraceStore(tmp_path / "corpus")
+    record_traces([_spec()], store, cache=False)
+    [key] = store.keys()
+    return TRACE_ANALYTICS_JOBS, key, lambda root, **fabric: analyze_store(
+        store, **fabric
+    )
+
+
+def _fleet_kind(tmp_path):
+    config = FleetConfig(n_devices=12, hours_scale=0.02, seed=7, cohort_size=5)
+    return FLEET_JOBS, cohort_jobs(config)[1], lambda root, **fabric: (
+        run_fleet(config, **fabric).summary.state_digest()
+    )
+
+
+def _arena_kind(tmp_path):
+    config = ArenaConfig(
+        policies=("buffer",), devices=("nexus5",), pressures=("normal",),
+        reps=1, duration_s=2.0,
+    )
+    return ARENA_JOBS, arena_jobs(config)[0], lambda root, **fabric: (
+        run_arena(config, **fabric).leaderboard
+    )
+
+
+@pytest.mark.parametrize("kind", [
+    _sweep_kind, _trace_record_kind, _trace_analytics_kind, _fleet_kind,
+    _arena_kind,
+], ids=["sweep", "trace-record", "trace-analytics", "fleet", "arena"])
+def test_every_job_kind_retries_a_fault_at_its_key(kind, tmp_path):
+    """The fabric fires ``job:<key>`` for every keyed job of every kind,
+    and a retried job's result equals the fault-free run's."""
+    family, payload, run = kind(tmp_path)
+    clean = run(tmp_path / "clean", jobs=1)
+
+    report = FabricReport()
+    with installed_plan(
+        [Fault(point=f"job:{family.key(payload)}", kind="raise", times=1)],
+        tmp_path,
+    ):
+        faulted = run(
+            tmp_path / "faulted", jobs=1, policy=FAST_RETRIES, report=report
+        )
+    assert report.retries == 1
+    assert faulted == clean

@@ -10,11 +10,11 @@ from typing import Any, Callable, Dict
 from repro.analysis.cache import AnalysisCache
 from repro.experiments.parallel import ResultCache
 from repro.sched import ThreadState
-from repro.storage import JobFamily, Store
+from repro.storage import JobFamily, Store, canonical_digest
 from repro.trace.store import ReplayTrace, TraceStore, trace_digest
 
 #: Plain-dict payloads: the cache under test, not the session schema.
-DICTS = JobFamily("dicts", 1, dict)
+DICTS = JobFamily("dicts", 1, dict, canonical_digest)
 
 #: Distinct keys in distinct fan-out directories.
 KEYS = ["a" * 64, "b" * 64, "c" * 64]

@@ -149,8 +149,7 @@ def test_foreign_journal_is_discarded(tmp_path):
 
 
 def _default_fleet_journal_path(config, root):
-    keys = [cohort_job_key(job) for job in cohort_jobs(config)]
-    return default_journal_path(FLEET_JOBS, keys, root=root)
+    return default_journal_path(FLEET_JOBS, cohort_jobs(config), root=root)
 
 
 def test_default_journal_path_is_config_addressed(tmp_path):

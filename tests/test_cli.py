@@ -124,7 +124,7 @@ def test_trace_analyze_interrupt_exits_130(tmp_path, capsys, monkeypatch):
     ]) == 0
     capsys.readouterr()
 
-    def interrupted(path):
+    def interrupted(*args):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(replay, "analyze_trace_path", interrupted)
