@@ -41,8 +41,8 @@ def _peak_rss_mb() -> float:
 
 
 def _warmup() -> None:
-    """Pay one-time costs (lazy scipy.signal import, numpy caches)
-    outside the timed region, for both paths."""
+    """Pay one-time costs (module imports, numpy caches) outside the
+    timed region, for both paths."""
     run_fleet(FleetConfig(n_devices=8, hours_scale=HOURS_SCALE, seed=SEED))
     generate_population(
         PopulationConfig(n_users=2, hours_scale=HOURS_SCALE, seed=SEED)

@@ -12,10 +12,14 @@ from __future__ import annotations
 import datetime
 import json
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
+
+#: The checkout this harness belongs to.
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def ops_per_sec(fn: Callable[[int], Any], n: int, repeats: int = 5) -> float:
@@ -52,10 +56,23 @@ def bench_path(out_dir: Path | str = ".") -> Path:
     return path
 
 
+def source_commit(root: Path = ROOT) -> Optional[str]:
+    """``git rev-parse HEAD`` of ``root``, or None outside a checkout."""
+    try:
+        done = subprocess.run(
+            ["git", "-C", str(root), "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip()
+
+
 def write_bench(path: Path | str, results: Dict[str, Any]) -> Path:
     """Write a benchmark snapshot with enough provenance to compare."""
     path = Path(path)
     payload = {
+        "commit": source_commit(),
         "date": datetime.date.today().isoformat(),
         "python": sys.version.split()[0],
         "platform": platform.platform(),

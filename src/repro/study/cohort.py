@@ -40,7 +40,7 @@ import hashlib
 import math
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -104,6 +104,13 @@ SERVICE_THETA, SERVICE_SIGMA = 1.0 / 600.0, 0.35
 
 MINUTE = 60
 _SQRT12 = math.sqrt(12.0)
+
+#: :func:`ar1_batch` advances this many lanes (rows × time chunks) per
+#: numpy call; a cohort with fewer rows is split into time chunks.
+AR1_LANES = 1024
+#: Shortest time chunk: well past the 100–400 steps in which two
+#: trajectories of the §3 maps (coefficients 0.867–0.905) meet.
+AR1_MIN_CHUNK = 512
 
 #: Available-memory digest resolution: samples binned at 0.25 MB.
 AVAIL_BIN_PER_MB = 4
@@ -255,15 +262,83 @@ def ar1_batch(noise: np.ndarray, coeff: float) -> np.ndarray:
     """``y[t] = coeff·y[t-1] + noise[t]`` along the last axis.
 
     The batched counterpart of ``generator._ar1`` (which takes
-    ``theta = 1 - coeff`` and draws its own noise): one C-level lfilter
-    recursion per row, any leading batch shape, dtype preserved.
-    """
-    from scipy.signal import lfilter
+    ``theta = 1 - coeff`` and draws its own noise), for any leading
+    batch shape of float32 or float64 noise, dtype preserved.  Each
+    step rounds twice, in the noise's dtype, as the direct-form filter
+    ``lfilter([1], [1, -coeff])`` does: ``y[t] = fl(fl(c·y[t-1]) +
+    noise[t])`` with ``c = dtype(coeff)`` and ``y[0] = 0 + noise[0]``
+    (so a ``-0.0`` first sample comes out ``+0.0``).  The filter's
+    transposed form also adds ``noise[t-1]·0`` to the product, which
+    can only change the sign of a product that underflowed to zero;
+    §3 innovations are never subnormal, so the two agree bit for bit.
 
-    b = np.ones(1, dtype=noise.dtype)
-    a = np.array([1.0, -coeff], dtype=noise.dtype)
-    out = lfilter(b, a, noise, axis=-1)
-    return np.asarray(out, dtype=noise.dtype)
+    The recursion is a time loop of two in-place ufuncs over
+    :data:`AR1_LANES` lanes.  Rows fill the lanes; when there are too
+    few, the time axis is split into chunks that run side by side from
+    a zero state and are then repaired from their predecessors' ends
+    (:func:`_ar1_repair`), which makes the chunked result bit-identical
+    to the plain walk for any coefficient.
+    """
+    if noise.size == 0:
+        return np.empty_like(noise)
+    steps = noise.shape[-1]
+    x = noise.reshape(-1, steps)
+    c = noise.dtype.type(coeff)
+    chunks = max(1, min(AR1_LANES // x.shape[0], steps // AR1_MIN_CHUNK))
+    span = -(-steps // chunks)
+    y = x.copy()
+    # Speculate: every chunk starts from lfilter's zero state.
+    prev = y[:, ::span]
+    np.add(prev, 0.0, out=prev)
+    tmp = np.empty_like(prev)
+    for t in range(1, span):
+        cur = y[:, t::span]
+        if cur.shape != prev.shape:  # a short last chunk has ended
+            prev, tmp = prev[:, :cur.shape[1]], tmp[:, :cur.shape[1]]
+        np.multiply(prev, c, out=tmp)
+        np.add(tmp, cur, out=cur)
+        prev = cur
+    if span < steps:
+        _ar1_repair(x, y, c, span)
+    return y.reshape(noise.shape)
+
+
+def _ar1_repair(
+    x: np.ndarray, y: np.ndarray, c: np.floating[Any], span: int
+) -> None:
+    """Make chunked AR(1) output ``y`` equal the sequential walk, in place.
+
+    Each chunk of ``span`` steps in ``y`` holds a trajectory of the map
+    ``v -> fl(fl(c·v) + x[t])`` from some start value.  A pass re-runs
+    every chunk k ≥ 1 from chunk k-1's end (as it stood when the pass
+    began) until the new value is bitwise equal to the stored one: from
+    there on the two trajectories of the deterministic map coincide, so
+    the rest of the chunk is already right.  A chunk whose predecessor
+    was exact is exact after the pass, so pass p leaves chunks 0..p
+    exact; the passes stop once no chunk but the last (whose end
+    nothing reads) ran to its end without meeting its stored values,
+    which takes at most as many passes as there are chunks.  Only the
+    speed relies on ``|c| < 1``: contraction makes chunks meet within a
+    few hundred steps, so one pass is the usual case.
+    """
+    bits = y.view(f"u{y.itemsize}")
+    chunks = -(-y.shape[1] // span)
+    while True:
+        state = y[:, span - 1::span][:, :chunks - 1].copy()
+        live = np.ones(state.shape, dtype=bool)
+        for t in range(span):
+            cur = y[:, span + t::span]
+            m = cur.shape[1]
+            s = state[:, :m]
+            np.multiply(s, c, out=s)
+            np.add(s, x[:, span + t::span], out=s)
+            moved = s.view(bits.dtype) != bits[:, span + t::span]
+            np.logical_and(live[:, :m], moved, out=live[:, :m])
+            np.copyto(cur, s, where=live[:, :m])
+            if not live.any():
+                return
+        if not live[:, :-1].any():
+            return
 
 
 def _ar1_from_uniform(
@@ -1179,8 +1254,9 @@ def reference_cohort_logs(
     logs = []
     for d in range(count):
         n_i = int(draws.n[d])
-        # One-row (1, n) slices keep the exact scipy/numpy code path of
-        # the batched call while still walking one device at a time.
+        # One-row (1, n) slices run the batched call's kernels one
+        # device at a time; ar1_batch splits the lone row into time
+        # chunks, which changes no bit of its output.
         avail = _available_series(
             u_slow[d:d + 1], u_fast[d:d + 1],
             draws.total_mb[d:d + 1], draws.mean_util[d:d + 1],

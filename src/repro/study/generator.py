@@ -26,6 +26,7 @@ from these logs the same way the paper's notebooks computed theirs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -119,11 +120,19 @@ def _interactive_mask(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _ar1(n: int, theta: float, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """A zero-mean AR(1) series: ``y[t] = (1-theta)·y[t-1] + noise[t]``."""
-    from scipy.signal import lfilter
+    """A zero-mean AR(1) series: ``y[t] = (1-theta)·y[t-1] + noise[t]``.
 
+    Python floats round ``y·coeff`` and the sum once each, as a float64
+    ``lfilter`` does; the walk starts from ``0.0``, so ``y[0] = 0.0 +
+    noise[0]``.  One series is one lane, and at the slow coefficient
+    (0.9976) time chunks meet too slowly for
+    :func:`repro.study.cohort.ar1_batch` to split it, so a scalar walk
+    beats a one-lane numpy loop.
+    """
+    coeff = 1.0 - theta
     noise = rng.normal(0.0, sigma, size=n)
-    return lfilter([1.0], [1.0, -(1.0 - theta)], noise)
+    walk = accumulate(noise.tolist(), lambda y, x: y * coeff + x, initial=0.0)
+    return np.fromiter(islice(walk, 1, None), dtype=np.float64, count=n)
 
 
 def generate_device_log(
