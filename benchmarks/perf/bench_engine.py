@@ -1,4 +1,4 @@
-"""Engine microbenchmarks: event queue, run loop, emit hot path.
+"""Engine microbenchmarks: event queue, run loop, emit and listener hot paths.
 
 Run directly (``python -m benchmarks.perf.bench_engine``) or through
 ``benchmarks.perf.run`` which also records the numbers to a
@@ -80,6 +80,18 @@ def emit_subscribed(n: int) -> None:
         emit("bench.topic", value=1, other=2)
 
 
+def listeners_subscribed(n: int) -> None:
+    """``emit_subscribed``'s payload, delivered through a
+    ``sim.listeners`` list the way the scheduler's sites dispatch."""
+    sim = Simulator()
+    sink = []
+    sim.on("bench.topic", lambda time, value, other: sink.append(value))
+    listeners = sim.listeners("bench.topic", "value", "other")
+    for _ in range(n):
+        for callback in listeners:
+            callback(time=sim.now, value=1, other=2)
+
+
 #: name -> (fn, default op count, quick op count)
 MICROBENCHES = {
     "queue_push_pop": (queue_push_pop, 200_000, 20_000),
@@ -88,6 +100,7 @@ MICROBENCHES = {
     "event_chain": (event_chain, 100_000, 10_000),
     "emit_unsubscribed": (emit_unsubscribed, 500_000, 50_000),
     "emit_subscribed": (emit_subscribed, 200_000, 20_000),
+    "listeners_subscribed": (listeners_subscribed, 200_000, 20_000),
 }
 
 

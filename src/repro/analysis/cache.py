@@ -36,8 +36,9 @@ from ..storage import Codec, Store, sha256_hex
 
 #: Bump when rule logic, the facts schema, or the record layout changes.
 #: 2: entries moved from an embedded envelope to a fanned-out store with
-#: checksum sidecars.
-CACHE_VERSION = 2
+#: checksum sidecars.  3: ``listeners("topic", "field", ...)`` calls
+#: count as emit sites.
+CACHE_VERSION = 3
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = Path(".lint-cache")

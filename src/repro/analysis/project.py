@@ -3,9 +3,10 @@
 Per-file extraction produces a :class:`FileFacts` record — plain,
 JSON-serializable data covering everything the project-level rules need:
 
-* every literal-topic ``emit("topic", ...)``/``on("topic", cb)`` site
-  (REP201–REP203) plus the payload *shapes* and handler signatures the
-  schema-inference pass types against (REP220-series);
+* every literal-topic ``emit("topic", ...)``, ``listeners("topic",
+  ...)`` and ``on("topic", cb)`` site (REP201–REP203) plus the payload
+  *shapes* and handler signatures the schema-inference pass types
+  against (REP220-series);
 * module-level ``SCHEMA_VERSION``/``SCHEMA_FINGERPRINT`` constants and
   the ``SessionResult`` field list (REP204);
 * per-function call sites and taint summaries feeding the
@@ -36,7 +37,7 @@ from .dataflow import (
 )
 from .schema_infer import (
     EmitShape, HandlerShape, SchemaModel, SubscriptionShape,
-    extract_schema_facts,
+    declared_fields, extract_schema_facts,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -209,29 +210,34 @@ def extract_file_facts(rel: str, tree: ast.AST) -> FileFacts:
 
 def _scan_call(facts: FileFacts, node: ast.Call) -> None:
     func = node.func
-    if not isinstance(func, ast.Attribute) or func.attr not in ("emit", "on"):
+    if not isinstance(func, ast.Attribute) \
+            or func.attr not in ("emit", "listeners", "on"):
         return
     if not node.args:
         return
     first = node.args[0]
     if isinstance(first, ast.Constant) and isinstance(first.value, str):
+        if func.attr == "listeners":
+            # A hot call site dispatching to the topic's subscriber
+            # list itself: its declared fields are the payload keys.
+            keys = tuple(declared_fields(node))
+        else:
+            keys = tuple(kw.arg for kw in node.keywords if kw.arg is not None)
         site = TopicSite(
             topic=first.value,
             path=facts.rel,
             line=node.lineno,
             col=node.col_offset + 1,
-            payload_keys=tuple(
-                kw.arg for kw in node.keywords if kw.arg is not None
-            ),
+            payload_keys=keys,
         )
-        if func.attr == "emit":
+        if func.attr != "on":
             facts.emits.append(site)
         else:
             # Require the (topic, callback) shape so unrelated .on()
             # APIs (e.g. event-emitter libraries) are not swept in.
             if len(node.args) == 2:
                 facts.subscriptions.append(site)
-    elif func.attr == "emit":
+    elif func.attr != "on":
         facts.dynamic_topics.append(TopicSite(
             topic="<dynamic>",
             path=facts.rel,

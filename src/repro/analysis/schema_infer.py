@@ -6,7 +6,10 @@ phase=..., pipeline=..., late=...)`` fans out to every subscriber as
 across the project; this pass checks *payload shapes*:
 
 * every literal-topic emit site contributes a shape — the set of keyword
-  names it passes (plus whether it forwards ``**payload`` opaquely);
+  names it passes (plus whether it forwards ``**payload`` opaquely).  A
+  ``listeners("topic", "field", ...)`` call, which hands a hot call site
+  the topic's subscriber list to call directly, is an emit site whose
+  keys are the declared field names;
 * every subscription is linked to its handler — a method
   (``sim.on("t", self._on_t)``), a module-level function, or an inline
   lambda — and the handler's *reads* are extracted: named parameters,
@@ -244,6 +247,14 @@ def _shape_from_args(
     )
 
 
+def declared_fields(node: ast.Call) -> List[str]:
+    """The literal field names a ``listeners("topic", ...)`` call declares."""
+    return [
+        arg.value for arg in node.args[1:]
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+    ]
+
+
 def extract_schema_facts(
     tree: ast.AST, module: str
 ) -> Tuple[List[EmitShape], List[SubscriptionShape], List[HandlerShape]]:
@@ -274,6 +285,15 @@ def extract_schema_facts(
                     kw.arg for kw in node.keywords if kw.arg is not None
                 ),
                 splat=any(kw.arg is None for kw in node.keywords),
+            ))
+        elif func.attr == "listeners" and literal:
+            fields = declared_fields(node)
+            emits.append(EmitShape(
+                topic=first.value, module=module,
+                line=node.lineno, col=node.col_offset + 1,
+                keys=sorted(fields),
+                # A computed field name leaves the key set unknown.
+                splat=len(fields) < len(node.args) - 1,
             ))
         elif func.attr == "on" and literal and len(node.args) == 2:
             callback = node.args[1]

@@ -190,6 +190,24 @@ class Scheduler:
         #: Interior quantum boundaries that were retired analytically
         #: instead of firing a ``slice_end`` event (perf telemetry).
         self.elided_slices = 0
+        # Live subscriber lists of the scheduler's topics: each site
+        # calls them directly instead of paying an emit() frame per
+        # event.  Sites test the list before looping over it: an empty
+        # list's truth test is cheaper than making its iterator, and
+        # untraced runs always see empty lists.
+        self._state_listeners = sim.listeners(
+            "sched.state", "thread", "old", "new"
+        )
+        self._wakeup_listeners = sim.listeners("sched.wakeup", "thread")
+        self._switch_listeners = sim.listeners(
+            "sched.switch", "thread", "core"
+        )
+        self._preempt_listeners = sim.listeners(
+            "sched.preempt", "victim", "victor", "core", "kind"
+        )
+        self._migrate_listeners = sim.listeners(
+            "sched.migrate", "thread", "src", "dst"
+        )
 
     # ------------------------------------------------------------------
     # Thread lifecycle
@@ -287,27 +305,32 @@ class Scheduler:
             # elided.
             if self._elided_count:
                 self._materialize_lower(thread.sched_class)
-            sim = self.sim
-            if not sim.tracing:
-                rq = self._rq
-                if not (rq[0] or rq[1] or rq[2] or rq[3]):
-                    core = self._pick_core(thread)
-                    if core is not None:
-                        # Fast path: nothing else is runnable anywhere
-                        # and an idle core takes the thread immediately.
-                        # The explicit route — RUNNABLE for zero ticks,
-                        # runqueue append, dispatch scan, remove — is
-                        # pure bookkeeping with identical accounting
-                        # (the skipped RUNNABLE interval has zero
-                        # length), so go straight to the slice.  With
-                        # tracing on we keep the explicit route so the
-                        # wakeup/state event stream is unchanged.
-                        self._start_slice(thread, core)
-                        return
+            rq = self._rq
+            if not (rq[0] or rq[1] or rq[2] or rq[3]):
+                core = self._pick_core(thread)
+                if core is not None:
+                    # Fast path: nothing else is runnable anywhere and
+                    # an idle core takes the thread immediately.  The
+                    # explicit route — RUNNABLE for zero ticks, runqueue
+                    # append, dispatch scan, remove — is pure
+                    # bookkeeping with identical accounting (the
+                    # RUNNABLE interval has zero length), so go straight
+                    # to the slice.  Subscribers still see that route's
+                    # events: state(->RUNNABLE) and wakeup here, then
+                    # migrate, state(->RUNNING) and switch from
+                    # _start_slice.
+                    if self._state_listeners:
+                        self._transition(thread, ThreadState.RUNNABLE)
+                    if self._wakeup_listeners:
+                        for callback in self._wakeup_listeners:
+                            callback(time=self.sim.now, thread=thread)
+                    self._start_slice(thread, core)
+                    return
             self._transition(thread, ThreadState.RUNNABLE)
-            self._rq[thread.sched_class].append(thread)
-            if sim.tracing:
-                sim.emit("sched.wakeup", thread=thread)
+            rq[thread.sched_class].append(thread)
+            if self._wakeup_listeners:
+                for callback in self._wakeup_listeners:
+                    callback(time=self.sim.now, thread=thread)
         self._dispatch()
 
     def _transition(self, thread: Thread, new_state: ThreadState) -> None:
@@ -321,8 +344,9 @@ class Scheduler:
         accounting.totals[old] += now - accounting.since
         accounting.current = new_state
         accounting.since = now
-        if self.sim.tracing:
-            self.sim.emit("sched.state", thread=thread, old=old, new=new_state)
+        if self._state_listeners:
+            for callback in self._state_listeners:
+                callback(time=now, thread=thread, old=old, new=new_state)
 
     def _core_of(self, thread: Thread) -> Core:
         for core in self.cores:
@@ -448,11 +472,12 @@ class Scheduler:
         self.preemption_count += 1
         self._rq[victim.sched_class].append(victim)
         core.current = None
-        if self.sim.tracing:
-            self.sim.emit(
-                "sched.preempt", victim=victim, victor=victor, core=core.index,
-                kind="preempt",
-            )
+        if self._preempt_listeners:
+            for callback in self._preempt_listeners:
+                callback(
+                    time=self.sim.now, victim=victim, victor=victor,
+                    core=core.index, kind="preempt",
+                )
         self._start_slice(victor, core)
 
     def _start_slice(self, thread: Thread, core: Core) -> None:
@@ -464,22 +489,23 @@ class Scheduler:
             self._advance(thread)
             self._dispatch()
             return
+        now = self.sim.now
         if thread.last_core is not None and thread.last_core != core.index:
             thread.migrations += 1
-            if self.sim.tracing:
-                self.sim.emit(
-                    "sched.migrate",
-                    thread=thread,
-                    src=thread.last_core,
-                    dst=core.index,
-                )
+            if self._migrate_listeners:
+                for callback in self._migrate_listeners:
+                    callback(
+                        time=now, thread=thread, src=thread.last_core,
+                        dst=core.index,
+                    )
         thread.last_core = core.index
         core.current = thread
-        core.slice_started = self.sim.now
+        core.slice_started = now
         self._transition(thread, ThreadState.RUNNING)
         self.context_switches += 1
-        if self.sim.tracing:
-            self.sim.emit("sched.switch", thread=thread, core=core.index)
+        if self._switch_listeners:
+            for callback in self._switch_listeners:
+                callback(time=now, thread=thread, core=core.index)
         self._arm_slice_end(core)
 
     def _arm_slice_end(self, core: Core) -> None:
@@ -699,11 +725,12 @@ class Scheduler:
             thread.preemptions_suffered += 1
             self.preemption_count += 1
             self._rq[thread.sched_class].append(thread)
-            if self.sim.tracing:
-                self.sim.emit(
-                    "sched.preempt", victim=thread, victor=waiter,
-                    core=core.index, kind="rotate",
-                )
+            if self._preempt_listeners:
+                for callback in self._preempt_listeners:
+                    callback(
+                        time=self.sim.now, victim=thread, victor=waiter,
+                        core=core.index, kind="rotate",
+                    )
         else:
             # Out of CPU work: block on IO, or sleep.  With an empty
             # queue _advance would be a no-op (already SLEEPING), so

@@ -228,9 +228,11 @@ class Simulator:
 
         Removing a callback that is not subscribed is a no-op, so
         teardown paths (e.g. :meth:`~repro.trace.TraceRecorder.detach`)
-        can run idempotently.  When the last subscriber across all
-        topics is gone, :attr:`tracing` drops back to ``False`` and the
-        hot call sites stop building emit payloads entirely.
+        can run idempotently.  The topic's list is emptied, never
+        dropped: call sites holding it from :meth:`listeners` see later
+        subscribers.  When the last subscriber across all topics is
+        gone, :attr:`tracing` drops back to ``False`` and the hot call
+        sites stop building emit payloads entirely.
         """
         hooks = self._hooks.get(topic)
         if hooks is None:
@@ -239,10 +241,23 @@ class Simulator:
             hooks.remove(callback)
         except ValueError:
             return
-        if not hooks:
-            del self._hooks[topic]
-        if not self._hooks:
+        if not any(self._hooks.values()):
             self.tracing = False
+
+    def listeners(self, topic: str, *fields: str) -> List[Callable[..., None]]:
+        """The live subscriber list of ``topic``, for hot call sites that
+        dispatch themselves.
+
+        The list is the one :meth:`on`, :meth:`off` and :meth:`emit` use,
+        so a caller can fetch it once and then deliver with ``for cb in
+        listeners: cb(time=now, field=...)`` — the same call
+        :meth:`emit` makes, without its frame and second kwargs dict,
+        and nothing at all while the list is empty.  ``fields`` declares
+        the payload keys every such call passes besides ``time``; the
+        static analyzer reads a literal ``listeners("topic", "field",
+        ...)`` call as that topic's emit site.
+        """
+        return self._hooks.setdefault(topic, [])
 
     def emit(self, topic: str, **payload: Any) -> None:
         """Publish an instrumentation event to all ``topic`` subscribers."""

@@ -87,6 +87,12 @@ class TraceRecorder(TraceView):
     # Event capture
     # ------------------------------------------------------------------
     def _on_state(self, time: Time, thread: Thread, old: ThreadState, new: ThreadState) -> None:
+        # One dict lookup per transition: a thread's first transition
+        # (no log yet) is also where its initial state is recorded.
+        log = self.transitions.get(thread.name)
+        if log:
+            log.append((time, new))
+            return
         name = thread.name
         if name not in self.initial_states:
             self.initial_states[name] = old

@@ -198,6 +198,24 @@ def test_matching_bus_shapes_are_silent():
     assert rules_fired(["repro/bus/good_bus.py"]) == set()
 
 
+def test_listeners_declaration_is_an_emit_site():
+    assert rules_fired(["repro/bus/good_listeners.py"]) == set()
+
+
+def test_declared_field_a_strict_handler_rejects_fires_rep220():
+    findings = findings_for(["repro/bus/bad_listeners_field.py"])
+    assert {f.rule for f in findings} == {"REP220"}
+    assert len(findings) == 1
+    assert "'reason'" in findings[0].message
+    assert "GovernorMonitor._on_step" in findings[0].message
+
+
+def test_subscription_to_an_undeclared_topic_fires_rep201():
+    findings = findings_for(["repro/bus/bad_listeners_orphan.py"])
+    assert {f.rule for f in findings} == {"REP201"}
+    assert "'thermal.trip'" in findings[0].message
+
+
 # ----------------------------------------------------------------------
 # Order-independence: the property the cache and parallel driver need
 # ----------------------------------------------------------------------
